@@ -3,6 +3,7 @@ package vnpu
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -69,6 +70,14 @@ type Cluster struct {
 	// list for those exclusive claims.
 	regions   []*chipRegions
 	chipNodes [][]topo.NodeID
+
+	// placeMu serializes, per chip, the step that turns a placement into
+	// a vNPU (createPlaced). Between the hypervisor taking the cores and
+	// the engine's free-set mirror hearing of it, the mirror still offers
+	// them: the dispatcher and every cold session create resolve against
+	// that mirror concurrently, and without the lock two of them draw the
+	// same cached mapping.
+	placeMu []sync.Mutex
 
 	// coreNanos is the per-chip occupancy integral: each finished
 	// execution adds its duration times the cores it held, so
@@ -310,6 +319,7 @@ func NewCluster(cfg Config, chips int, opts ...ClusterOption) (*Cluster, error) 
 		systems:         make([]*System, len(specs)),
 		regions:         make([]*chipRegions, len(specs)),
 		chipNodes:       make([][]topo.NodeID, len(specs)),
+		placeMu:         make([]sync.Mutex, len(specs)),
 		coreNanos:       make([]atomic.Int64, len(specs)),
 		curJobs:         make([]atomic.Int64, len(specs)),
 		progs:           make(map[progKey]*progEntry),
@@ -403,7 +413,7 @@ func NewCluster(cfg Config, chips int, opts ...ClusterOption) (*Cluster, error) 
 		// Start at the static bound when one was given (never below the
 		// goal, which trivially satisfies the objective), and let the
 		// controller grow it as evidence accumulates.
-		c.storeRegretBound(maxFloat(c.regret, c.regretGoal))
+		c.storeRegretBound(max(c.regret, c.regretGoal))
 	}
 	// Chip-saturation probe for the mapper pool's adaptive sizing: when
 	// every chip's execution slots are full, mapping faster cannot start
@@ -568,13 +578,6 @@ func retuneRegretBound(cur, q, goal float64) float64 {
 // cached placement qualifies for hits-first anyway (edit-distance costs
 // are far smaller on any real mesh).
 const regretBoundCap = 1 << 20
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // prewarmPlacement is the dispatcher's speculation hook: schedule the
 // job's missing mappings on the engine's async mapper workers. Never
@@ -1144,24 +1147,47 @@ func (e *clusterExec) ObserveHit(job Job, cost float64) {
 	(*Cluster)(e).maybeRetuneRegret()
 }
 
+// errMirrorDrift marks a create undone because the engine's free-set
+// mirror refused cores the hypervisor had just handed out: the placement
+// view is corrupt, which no other candidate chip cures.
+var errMirrorDrift = errors.New("vnpu: placement mirror disagrees with the hypervisor")
+
+// createPlaced creates a vNPU for the request on the chip from the
+// engine's resolved mapping (the hypervisor never re-runs the topology
+// mapper on the serving paths) and books its cores out of the engine's
+// free-set mirror with book — Commit for a one-shot, Reserve for a
+// session. The three steps run under the chip's placeMu, so a concurrent
+// create on the chip resolves against a mirror that already shows this
+// one; otherwise it would be handed the same nodes and lose with the
+// hypervisor's stale-placement ErrNoCapacity while the chip has room.
+func (c *Cluster) createPlaced(chip int, req Request, book func(nodes []topo.NodeID) error) (*VirtualNPU, error) {
+	c.placeMu[chip].Lock()
+	defer c.placeMu[chip].Unlock()
+	mapRes, err := c.engine.Resolve(chip, placeRequest(req))
+	if err != nil {
+		return nil, err
+	}
+	v, err := c.systems[chip].hv.CreateVNPUPlaced(req, mapRes)
+	if err != nil {
+		return nil, err
+	}
+	if err := book(v.Nodes()); err != nil {
+		// Undo the create rather than serve from a corrupted view.
+		_ = c.systems[chip].Destroy(v)
+		return nil, fmt.Errorf("%w: %v", errMirrorDrift, err)
+	}
+	return v, nil
+}
+
 // Place creates the job's vNPU on the chosen chip, reusing the engine's
 // resolved mapping so the hypervisor never re-runs the topology mapper on
 // the dispatch path; the engine's free-set mirror is committed in the
 // same step. The request's memory was already sized at Submit.
 func (e *clusterExec) Place(chip int, job Job) (*VirtualNPU, error) {
-	req := job.request()
-	mapRes, err := e.engine.Resolve(chip, placeRequest(req))
+	v, err := (*Cluster)(e).createPlaced(chip, job.request(), func(nodes []topo.NodeID) error {
+		return e.engine.Commit(chip, nodes)
+	})
 	if err != nil {
-		return nil, err
-	}
-	v, err := e.systems[chip].hv.CreateVNPUPlaced(req, mapRes)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.engine.Commit(chip, v.Nodes()); err != nil {
-		// The engine's mirror disagrees with the hypervisor — undo the
-		// create rather than serve from a corrupted placement view.
-		_ = e.systems[chip].Destroy(v)
 		return nil, err
 	}
 	// Give the vNPU its private timing domain so Execute can overlap it

@@ -218,3 +218,66 @@ func TestRegionClaimsSerializeOverlap(t *testing.T) {
 		t.Fatal("intersecting claim never acquired after release")
 	}
 }
+
+// TestConcurrentColdSessionCreatesDoNotPark fires cold creates of one
+// shape at a chip with room for all of them. Each must get its own
+// region: before createPlaced serialized resolve→create→reserve per chip,
+// two of them drew the same cached mapping, the loser's stale-placement
+// ErrNoCapacity read as exhaustion, and its job parked until some other
+// job finished — here, behind the hook, forever.
+func TestConcurrentColdSessionCreatesDoNotPark(t *testing.T) {
+	const n = 6 // 6 x 4 of the chip's 36 cores
+	c, err := NewCluster(SimConfig(), 1, WithSessionReuse())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	arrived := make(chan struct{}, n)
+	release := make(chan struct{})
+	c.testExecHook = func(int) {
+		arrived <- struct{}{}
+		<-release
+	}
+	handles := make([]*Handle, n)
+	var wg sync.WaitGroup
+	for i := range handles {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h, err := c.Submit(context.Background(), Job{
+				Tenant:   fmt.Sprintf("t%d", i),
+				Model:    mustModel(t, "alexnet"),
+				Topology: Mesh(2, 2),
+				Reusable: true,
+			})
+			if err != nil {
+				t.Errorf("submit %d: %v", i, err)
+				return
+			}
+			handles[i] = h
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		close(release)
+		return
+	}
+	// All n executing at once is the proof that none parked: a parked
+	// job waits for a finish, and nothing finishes before release.
+	for i := 0; i < n; i++ {
+		select {
+		case <-arrived:
+		case <-time.After(30 * time.Second):
+			close(release)
+			t.Fatalf("%d of %d cold creates reached execution; the rest parked with %d cores free",
+				i, n, c.systems[0].FreeCores())
+		}
+	}
+	close(release)
+	for i, h := range handles {
+		if _, err := h.Wait(context.Background()); err != nil {
+			t.Errorf("job %d: %v", i, err)
+		}
+	}
+}

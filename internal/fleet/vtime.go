@@ -737,10 +737,3 @@ func (r *replay) fold(vs ...uint64) {
 	}
 	r.hash = h
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -74,21 +74,8 @@ func (h *HBM) Port(channels ...int) (*Port, error) {
 // fingerprints mean identical Transfer timelines for identical request
 // sequences, the property the timing memo relies on.
 func (h *HBM) TimingFingerprint() uint64 {
-	return foldU64(0x68626d, // "hbm"
+	return sim.FoldU64(0x68626d, // "hbm"
 		uint64(len(h.channels)), uint64(h.bytesPerCycle), uint64(h.latency))
-}
-
-// foldU64 is FNV-1a over a sequence of uint64 words.
-func foldU64(vs ...uint64) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, v := range vs {
-		for i := 0; i < 8; i++ {
-			h = (h ^ (v & 0xff)) * prime
-			v >>= 8
-		}
-	}
-	return h
 }
 
 // Reset clears all channel reservations for a fresh run.
@@ -119,21 +106,32 @@ type Port struct {
 // (UseBank), so the vNPU's cores still contend with each other on their
 // channel share exactly as they would on a freshly reset chip, while
 // never observing (or perturbing) other vNPUs' reservations.
+//
+// A bank outlives the domain it serves: the device takes it back when the
+// domain closes (Unbind) and gives it to a later one, so the calendars'
+// interval storage is grown once and not once per job. A reset calendar
+// is an empty calendar whatever it held before, which is why the reuse is
+// invisible in simulated time.
 type Bank struct {
-	cals map[int]*sim.Calendar // physical channel index -> private calendar
+	chans []int           // chans[i] is the physical channel cals[i] stands for
+	cals  []*sim.Calendar // cals[len(chans):] are reset and not bound to a channel
 }
 
 // NewBank returns an empty bank; calendars materialize per physical
 // channel as ports bind to it.
-func NewBank() *Bank { return &Bank{cals: make(map[int]*sim.Calendar)} }
+func NewBank() *Bank { return &Bank{} }
 
 func (b *Bank) calendar(c int) *sim.Calendar {
-	cal, ok := b.cals[c]
-	if !ok {
-		cal = &sim.Calendar{}
-		b.cals[c] = cal
+	for i, bound := range b.chans {
+		if bound == c {
+			return b.cals[i]
+		}
 	}
-	return cal
+	if len(b.chans) == len(b.cals) {
+		b.cals = append(b.cals, &sim.Calendar{})
+	}
+	b.chans = append(b.chans, c)
+	return b.cals[len(b.chans)-1]
 }
 
 // Reset clears every private calendar so the domain's next job starts
@@ -142,6 +140,14 @@ func (b *Bank) Reset() {
 	for _, cal := range b.cals {
 		cal.Reset()
 	}
+}
+
+// Unbind resets the bank and forgets which channel each calendar stood
+// for, keeping the calendars for the next vNPU's ports to bind to. The
+// ports bound so far must not be used again.
+func (b *Bank) Unbind() {
+	b.Reset()
+	b.chans = b.chans[:0]
 }
 
 // UseBank rebinds the port's bursts into the bank's private calendars
@@ -166,7 +172,7 @@ func (p *Port) TimingFingerprint() uint64 {
 	if p.counter != nil {
 		vs = append(vs, uint64(p.counter.MaxBytes), uint64(p.counter.Window))
 	}
-	return foldU64(vs...)
+	return sim.FoldU64(vs...)
 }
 
 // Channels returns a copy of the port's physical channel indices.
@@ -218,9 +224,9 @@ func (p *Port) Transfer(at sim.Cycles, size int) (done sim.Cycles) {
 			best, bestStart = i, s
 		}
 	}
-	start := p.cals[best].Reserve(at, dur)
+	p.cals[best].Commit(bestStart, dur)
 	p.bytes += int64(size)
-	return start + dur + p.hbm.latency
+	return bestStart + dur + p.hbm.latency
 }
 
 // NumChannels reports how many memory interfaces this port spans — the

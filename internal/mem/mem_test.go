@@ -437,3 +437,67 @@ func TestPermString(t *testing.T) {
 		t.Fatal("perm strings wrong")
 	}
 }
+
+// TestBankSharesCalendarsByChannel: ports bound to one bank contend on
+// the channels they have in common, whatever position the channel has in
+// each port's list, and not with the chip-global calendars.
+func TestBankSharesCalendarsByChannel(t *testing.T) {
+	h := NewHBM(4, 16, 0)
+	a, _ := h.Port(2, 3)
+	b, _ := h.Port(3)
+	global, _ := h.Port(3)
+	bank := NewBank()
+	a.UseBank(bank)
+	b.UseBank(bank)
+	d1 := a.Transfer(0, 160)      // channel 2: 0..10
+	d2 := b.Transfer(0, 160)      // channel 3: 0..10
+	d3 := b.Transfer(0, 160)      // channel 3: 10..20
+	d4 := a.Transfer(0, 320)      // channel 2 frees first: 10..30
+	d5 := global.Transfer(0, 160) // the chip's own channel 3, untouched by the bank
+	if d1 != 10 || d2 != 10 || d3 != 20 || d4 != 30 || d5 != 10 {
+		t.Fatalf("done = %v,%v,%v,%v,%v; want 10,10,20,30,10", d1, d2, d3, d4, d5)
+	}
+	bank.Reset()
+	if d := b.Transfer(0, 160); d != 10 {
+		t.Fatalf("after Reset done = %v, want 10", d)
+	}
+}
+
+// TestUnboundBankIsEmptyAndKeepsStorage: after Unbind a bank serves other
+// channels as a new bank would, on the calendars it already has — the
+// second fill of the same size allocates nothing.
+func TestUnboundBankIsEmptyAndKeepsStorage(t *testing.T) {
+	h := NewHBM(8, 64, 20)
+	bank := NewBank()
+	const bursts = 4096
+	fill := func(p *Port) sim.Cycles {
+		at := sim.Cycles(0)
+		for i := 0; i < bursts; i++ {
+			at = p.Transfer(at, DefaultBurstBytes) // the next burst issues a latency later: no coalescing
+		}
+		return at
+	}
+	first, _ := h.Port(0, 1)
+	first.UseBank(bank)
+	want := fill(first)
+	if spans := bank.cals[0].Spans() + bank.cals[1].Spans(); spans != bursts {
+		t.Fatalf("%d spans for %d bursts: the fill coalesced and grows no storage", spans, bursts)
+	}
+
+	second, _ := h.Port(6, 5)
+	var got sim.Cycles
+	allocs := testing.AllocsPerRun(2, func() {
+		bank.Unbind()
+		second.UseBank(bank)
+		got = fill(second)
+	})
+	if allocs > 1 { // the port's own list of bound calendars
+		t.Fatalf("rebinding and refilling a recycled bank allocated %v times", allocs)
+	}
+	if len(bank.cals) != 2 {
+		t.Fatalf("bank holds %d calendars after rebinding two channels, want the same 2", len(bank.cals))
+	}
+	if got != want {
+		t.Fatalf("recycled bank finished at %v, new bank at %v", got, want)
+	}
+}

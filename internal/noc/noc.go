@@ -136,23 +136,10 @@ func (n *Network) Owner(core topo.NodeID) int {
 // produce identical Transfer timelines, which is what lets the timing
 // memo treat the fingerprint as a proxy for the NoC's timing behavior.
 func (n *Network) TimingFingerprint() uint64 {
-	return foldU64(0x6e6f63, // "noc"
+	return sim.FoldU64(0x6e6f63, // "noc"
 		uint64(n.cfg.LinkBytesPerCycle), uint64(n.cfg.HopCycles),
 		uint64(n.cfg.IssueCycles), uint64(n.cfg.HandshakeCycles),
 		uint64(n.cfg.PacketBytes))
-}
-
-// foldU64 is FNV-1a over a sequence of uint64 words.
-func foldU64(vs ...uint64) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, v := range vs {
-		for i := 0; i < 8; i++ {
-			h = (h ^ (v & 0xff)) * prime
-			v >>= 8
-		}
-	}
-	return h
 }
 
 // Stats returns a snapshot of the cumulative network statistics,

@@ -26,6 +26,11 @@ type Device struct {
 
 	domMu    sync.Mutex
 	domOwner map[topo.NodeID]*Domain // core -> open timing domain
+	// idleBanks are the HBM calendar banks of closed domains, unbound and
+	// reset, kept so the next domain starts on storage that has already
+	// grown to a job's size. There are never more than the most domains
+	// that were open at once.
+	idleBanks []*mem.Bank
 
 	// fpOnce/fp lazily cache the chip's timing fingerprint (the
 	// configuration is immutable after NewDevice); see TimingFingerprint.
@@ -153,11 +158,17 @@ func (d *Device) OpenDomain(nodes []topo.NodeID) (*Domain, error) {
 			return nil, fmt.Errorf("npu: core %d is held by another domain: %w", n, ErrDomainOverlap)
 		}
 	}
+	var bank *mem.Bank
+	if n := len(d.idleBanks); n > 0 {
+		bank, d.idleBanks = d.idleBanks[n-1], d.idleBanks[:n-1]
+	} else {
+		bank = mem.NewBank()
+	}
 	dom := &Domain{
 		dev:   d,
 		nodes: append([]topo.NodeID(nil), nodes...),
 		noc:   d.net.NewDomain(),
-		bank:  mem.NewBank(),
+		bank:  bank,
 	}
 	for _, n := range nodes {
 		d.domOwner[n] = dom
@@ -185,8 +196,10 @@ func (dm *Domain) Reset() {
 	dm.dev.ResetCoreTransients(dm.nodes)
 }
 
-// Close releases the domain's cores so a future domain may claim them.
-// The caller must ensure no job is executing in the domain.
+// Close releases the domain's cores so a future domain may claim them,
+// and hands the bank back to the device for that domain to reuse. The
+// caller must ensure no job is executing in the domain, and must not use
+// the ports it bound to the bank afterwards. Closing twice is harmless.
 func (dm *Domain) Close() {
 	dm.dev.domMu.Lock()
 	defer dm.dev.domMu.Unlock()
@@ -194,6 +207,11 @@ func (dm *Domain) Close() {
 		if dm.dev.domOwner[n] == dm {
 			delete(dm.dev.domOwner, n)
 		}
+	}
+	if dm.bank != nil {
+		dm.bank.Unbind()
+		dm.dev.idleBanks = append(dm.dev.idleBanks, dm.bank)
+		dm.bank = nil
 	}
 }
 

@@ -1,13 +1,17 @@
 package sim
 
-import "sort"
-
 // Calendar is a serially-reusable resource with gap-filling reservations:
 // unlike Resource (FIFO by reservation order), a Calendar keeps the actual
 // schedule and places each reservation in the earliest idle gap at or
 // after the requested time. Use it where requesters' clocks can run far
 // apart — e.g. HBM channels shared by differently-paced tenants — so a
 // future-time reservation never blocks an earlier-time one.
+//
+// Most requests land at or past the end of the schedule (a core's DMA
+// bursts arrive in rising time order), so Probe and Commit both look at
+// the last interval before they search: a tail reservation is O(1) and,
+// once the slice has grown, allocation-free. Reset keeps the slice's
+// capacity, so a calendar that is reset between jobs grows once.
 type Calendar struct {
 	busy      []ival // sorted, disjoint, coalesced
 	busyTotal Cycles
@@ -19,16 +23,28 @@ type ival struct{ start, end Cycles }
 // Probe returns the start of the earliest gap of length dur at or after
 // `at`, without reserving it.
 func (c *Calendar) Probe(at, dur Cycles) Cycles {
+	n := len(c.busy)
+	if n == 0 || c.busy[n-1].end <= at {
+		return at
+	}
 	if dur < 0 {
 		dur = 0
 	}
 	start := at
 	// Skip intervals ending at or before the requested time, then walk
-	// forward until a gap fits. Insertion keeps busy sorted by start (and,
-	// being disjoint, by end), so the skip is a binary search.
-	i := sort.Search(len(c.busy), func(i int) bool { return c.busy[i].end > start })
-	for ; i < len(c.busy); i++ {
-		iv := c.busy[i]
+	// forward until a gap fits. The intervals are disjoint and sorted by
+	// start, hence also by end, so the skip is a binary search: lo ends
+	// at the first interval with end > at.
+	lo, hi := 0, n-1 // busy[n-1].end > at, so the answer is in [0, n-1]
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c.busy[mid].end > at {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	for _, iv := range c.busy[lo:] {
 		if iv.start >= start+dur {
 			break // the gap before iv fits
 		}
@@ -42,31 +58,61 @@ func (c *Calendar) Probe(at, dur Cycles) Cycles {
 // Reserve books dur cycles in the earliest gap at or after `at` and
 // returns the actual start time.
 func (c *Calendar) Reserve(at, dur Cycles) Cycles {
+	start := c.Probe(at, dur)
+	c.Commit(start, dur)
+	return start
+}
+
+// Commit books [start, start+dur), where start is what Probe(at, dur)
+// returned on this calendar with no reservation made since. It is the
+// second half of Reserve, for a caller that probes several calendars and
+// books only the winner: the probe is not run again.
+func (c *Calendar) Commit(start, dur Cycles) {
 	if dur < 0 {
 		dur = 0
 	}
-	start := c.Probe(at, dur)
 	c.grants++
 	c.busyTotal += dur
 	if dur == 0 {
-		return start
+		return
 	}
-	// Insert [start, start+dur) keeping order, then coalesce neighbors.
-	idx := sort.Search(len(c.busy), func(i int) bool { return c.busy[i].start > start })
-	c.busy = append(c.busy, ival{})
-	copy(c.busy[idx+1:], c.busy[idx:])
-	c.busy[idx] = ival{start: start, end: start + dur}
-	// Coalesce with the previous and following intervals when adjacent.
-	if idx > 0 && c.busy[idx-1].end == c.busy[idx].start {
+	end := start + dur
+	n := len(c.busy)
+	if n == 0 || start > c.busy[n-1].end {
+		c.busy = append(c.busy, ival{start, end})
+		return
+	}
+	if start == c.busy[n-1].end {
+		c.busy[n-1].end = end
+		return
+	}
+	// A gap in the middle of the schedule. idx is the first interval
+	// starting after start: the new one goes in front of it, merging with
+	// either neighbour it touches.
+	idx, hi := 0, n
+	for idx < hi {
+		mid := int(uint(idx+hi) >> 1)
+		if c.busy[mid].start > start {
+			hi = mid
+		} else {
+			idx = mid + 1
+		}
+	}
+	left := idx > 0 && c.busy[idx-1].end == start
+	right := idx < n && c.busy[idx].start == end
+	switch {
+	case left && right:
 		c.busy[idx-1].end = c.busy[idx].end
 		c.busy = append(c.busy[:idx], c.busy[idx+1:]...)
-		idx--
+	case left:
+		c.busy[idx-1].end = end
+	case right:
+		c.busy[idx].start = start
+	default:
+		c.busy = append(c.busy, ival{})
+		copy(c.busy[idx+1:], c.busy[idx:])
+		c.busy[idx] = ival{start, end}
 	}
-	if idx+1 < len(c.busy) && c.busy[idx].end == c.busy[idx+1].start {
-		c.busy[idx].end = c.busy[idx+1].end
-		c.busy = append(c.busy[:idx+1], c.busy[idx+2:]...)
-	}
-	return start
 }
 
 // BusyTotal reports cumulative reserved cycles.
@@ -79,5 +125,10 @@ func (c *Calendar) Grants() uint64 { return c.grants }
 // (diagnostic; coalescing keeps this small for streaming workloads).
 func (c *Calendar) Spans() int { return len(c.busy) }
 
-// Reset clears the schedule.
-func (c *Calendar) Reset() { *c = Calendar{} }
+// Reset clears the schedule and the counters. The interval storage is
+// kept for the next schedule to grow into.
+func (c *Calendar) Reset() {
+	c.busy = c.busy[:0]
+	c.busyTotal = 0
+	c.grants = 0
+}

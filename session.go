@@ -405,6 +405,14 @@ func (c *Cluster) sessionRun(t *sessTask) {
 		}
 		c.trace(&t.job, obs.StageSession, detail, lease.Chip())
 	}
+	// finishSess takes each job out of the drain group before this
+	// goroutine gives the session back (Next or Discard below), so the
+	// lease holds a count of its own: Close must not get to closing the
+	// pool, nor return, between a session's last job and its release.
+	// t's own count is still outstanding here, so the Add cannot race a
+	// Wait that has already seen zero.
+	c.sessWG.Add(1)
+	defer c.sessWG.Done()
 	r := lease.Resource()
 	// Lease the vNPU only after Acquire: the session is busy (hence
 	// unevictable) from here until Next releases it, so the guard lease
@@ -554,21 +562,15 @@ func (c *Cluster) createSession(req Request, class int) (int, *sessRes, error) {
 	})
 	var lastErr error
 	for _, cand := range cands {
-		mapRes, err := c.engine.Resolve(cand.Chip, preq)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		v, err := c.systems[cand.Chip].hv.CreateVNPUPlaced(req, mapRes)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if err := c.engine.Reserve(cand.Chip, v.Nodes(), class); err != nil {
-			// The engine's mirror disagrees with the hypervisor — undo
-			// the create rather than serve from a corrupted view.
-			_ = c.systems[cand.Chip].Destroy(v)
+		v, err := c.createPlaced(cand.Chip, req, func(nodes []topo.NodeID) error {
+			return c.engine.Reserve(cand.Chip, nodes, class)
+		})
+		if errors.Is(err, errMirrorDrift) {
 			return 0, nil, err
+		}
+		if err != nil {
+			lastErr = err
+			continue
 		}
 		// The resident vNPU executes inside its own timing domain for
 		// its whole lifetime, so warm jobs overlap disjoint neighbors.

@@ -248,3 +248,64 @@ func TestFastBackendGeometryInvalidation(t *testing.T) {
 	}
 	assertStats("resident repeat", 2, 3)
 }
+
+// TestRecycledTimingStorageCycleIdentical extends the geometry property
+// to the analytic path's own storage: a device hands a closed domain's
+// HBM calendars to the next domain, so a job that follows a larger one of
+// another shape (other cores, other channel share) runs on storage that
+// job grew. It must report exactly what it reports on a chip nothing has
+// run on, and so must the larger job when it returns.
+func TestRecycledTimingStorageCycleIdentical(t *testing.T) {
+	type shape struct {
+		model    string
+		topology *Topology
+	}
+	big, small := shape{"resnet18", Mesh(3, 3)}, shape{"alexnet", Chain(4)}
+	oneShot := func(sys *System, s shape) Report {
+		t.Helper()
+		m := mustModel(t, s.model)
+		bytes, err := sys.ModelMemoryBytes(m, s.topology.NumNodes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := sys.Create(NewRequest(s.topology, WithMemory(bytes)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.OpenDomain(); err != nil {
+			t.Fatal(err)
+		}
+		cm, err := sys.CompileFor(v, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.ResetForRun()
+		rep, err := sys.RunCompiled(context.Background(), v, cm, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Destroy(v); err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	newSystem := func() *System {
+		t.Helper()
+		sys, err := NewSystem(SimConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	wantBig, wantSmall := oneShot(newSystem(), big), oneShot(newSystem(), small)
+	sys := newSystem()
+	for round, s := range []shape{big, small, big, small} {
+		want := wantBig
+		if s == small {
+			want = wantSmall
+		}
+		if got := oneShot(sys, s); got != want {
+			t.Fatalf("round %d (%s) on the reused chip: %+v, fresh chip %+v", round, s.model, got, want)
+		}
+	}
+}
