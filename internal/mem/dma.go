@@ -25,7 +25,9 @@ type DMAEngine struct {
 	stats DMAStats
 }
 
-// DMAStats aggregates transfer activity.
+// DMAStats aggregates transfer activity. A transfer cut short by a
+// translation error counts as a transfer, with the bytes, bursts, stalls
+// and busy cycles of the part that ran.
 type DMAStats struct {
 	Transfers   uint64
 	Bytes       int64
@@ -43,6 +45,15 @@ func NewDMAEngine(port *Port, tr Translator) *DMAEngine {
 // earlier than `at`. It returns the completion time. Translation stalls
 // serialize with the data bursts — a TLB miss blocks all subsequent
 // bursts, the behaviour that motivates vChunk (§4.2).
+//
+// The bursts go out in runs: one translation covers every burst that
+// starts inside the same RTT entry or page (they would all hit the slot
+// the first one filled), and the port streams the run as one train. What
+// comes out — completion time, statistics, translator and channel state —
+// is what translating and issuing the bursts one by one gives. With Trace
+// set every run is a single burst, so the callback sees each of them. A
+// translation error ends the transfer at the failing burst; the part that
+// ran stays accounted.
 func (d *DMAEngine) Transfer(at sim.Cycles, va uint64, size int) (done sim.Cycles, err error) {
 	if size <= 0 {
 		return at, nil
@@ -51,33 +62,34 @@ func (d *DMAEngine) Transfer(at sim.Cycles, va uint64, size int) (done sim.Cycle
 	if burst <= 0 {
 		burst = DefaultBurstBytes
 	}
-	start := at
 	cursor := at
 	remaining := size
 	addr := va
 	for remaining > 0 {
-		n := burst
-		if n > remaining {
-			n = remaining
+		n, limit := burst, remaining/burst
+		if limit == 0 {
+			n, limit = remaining, 1 // the final short burst
 		}
 		if d.Trace != nil {
 			d.Trace(addr, cursor)
+			limit = 1
 		}
-		_, stall, terr := d.Translator.Translate(addr)
+		run, stall, terr := d.Translator.TranslateRun(addr, uint64(n), limit)
 		if terr != nil {
-			return cursor, terr
+			err = terr
+			break
 		}
 		cursor += stall // walk blocks the DMA pipeline
-		cursor = d.Port.Transfer(cursor, n)
-		d.stats.Bursts++
+		cursor = d.Port.TransferTrain(cursor, n, run)
+		d.stats.Bursts += uint64(run)
 		d.stats.StallCycles += stall
-		addr += uint64(n)
-		remaining -= n
+		addr += uint64(n * run)
+		remaining -= n * run
 	}
 	d.stats.Transfers++
-	d.stats.Bytes += int64(size)
-	d.stats.BusyCycles += cursor - start
-	return cursor, nil
+	d.stats.Bytes += int64(size - remaining)
+	d.stats.BusyCycles += cursor - at
+	return cursor, err
 }
 
 // Stats returns cumulative engine statistics.

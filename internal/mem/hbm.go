@@ -23,13 +23,17 @@ type HBM struct {
 }
 
 // NewHBM builds a memory with the given channel count, per-channel
-// bandwidth in bytes per cycle, and fixed access latency in cycles.
+// bandwidth in bytes per cycle, and fixed access latency in cycles. A
+// count or bandwidth below 1 is read as 1, a negative latency as 0.
 func NewHBM(channels, bytesPerCycle int, latency sim.Cycles) *HBM {
 	if channels < 1 {
 		channels = 1
 	}
 	if bytesPerCycle < 1 {
 		bytesPerCycle = 1
+	}
+	if latency < 0 {
+		latency = 0
 	}
 	return &HBM{
 		channels:      make([]sim.Calendar, channels),
@@ -46,6 +50,11 @@ func (h *HBM) BytesPerCycle() int { return h.bytesPerCycle }
 
 // TotalBandwidth reports aggregate bandwidth in bytes per cycle.
 func (h *HBM) TotalBandwidth() int { return h.bytesPerCycle * len(h.channels) }
+
+// burstCycles is how long size bytes occupy one channel.
+func (h *HBM) burstCycles(size int) sim.Cycles {
+	return sim.Cycles((size + h.bytesPerCycle - 1) / h.bytesPerCycle)
+}
 
 // Port returns a port restricted to the given channel indices. An empty
 // list grants access to every channel. Out-of-range indices are an error.
@@ -214,7 +223,7 @@ func (p *Port) Transfer(at sim.Cycles, size int) (done sim.Cycles) {
 	if p.counter != nil {
 		at = p.counter.Admit(at, int64(size))
 	}
-	dur := sim.Cycles((size + p.hbm.bytesPerCycle - 1) / p.hbm.bytesPerCycle)
+	dur := p.hbm.burstCycles(size)
 	// Place the burst in the earliest idle gap across the port's channels
 	// (ties to the first-listed channel, keeping runs deterministic).
 	best := 0
@@ -227,6 +236,33 @@ func (p *Port) Transfer(at sim.Cycles, size int) (done sim.Cycles) {
 	p.cals[best].Commit(bestStart, dur)
 	p.bytes += int64(size)
 	return bestStart + dur + p.hbm.latency
+}
+
+// TransferTrain moves count bursts of size bytes each, every burst issued
+// when the one before it completes, and returns when the last completes:
+// exactly count chained calls of Transfer. While the port has no access
+// counter and its first-listed channel is idle from the issue time on, the
+// rest of the train is booked there in one step: a probe of that channel
+// would return the issue time, no channel can offer an earlier start, ties
+// go to the first-listed channel, and the next burst issues a latency
+// after this one ends — again past the channel's last reservation. When
+// the channel is still busy at the issue time (another port's bursts are
+// booked past it) one burst takes the per-burst path and the rest try
+// again.
+func (p *Port) TransferTrain(at sim.Cycles, size, count int) (done sim.Cycles) {
+	if size <= 0 {
+		return at
+	}
+	dur := p.hbm.burstCycles(size)
+	stride := dur + p.hbm.latency
+	for ; count > 0; count-- {
+		if p.counter == nil && p.cals[0].AppendTrain(at, dur, stride, count) {
+			p.bytes += int64(size) * int64(count)
+			return at + stride*sim.Cycles(count)
+		}
+		at = p.Transfer(at, size)
+	}
+	return at
 }
 
 // NumChannels reports how many memory interfaces this port spans — the

@@ -2,6 +2,9 @@ package mem
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/vnpu-sim/vnpu/internal/sim"
@@ -171,6 +174,64 @@ func TestPageTableMapAndAlignment(t *testing.T) {
 	}
 	if err := pt.Map(0x1001, 0x8000, PageSize, PermRW); err == nil {
 		t.Fatal("expected alignment error")
+	}
+}
+
+// TestPageTableExtents: the table stores one extent per Map and must
+// still behave as a page map — a partial last page is mapped whole, a page
+// resolves through whichever extent holds it whatever order they were
+// mapped in, and mapping a page twice is an error that changes nothing.
+func TestPageTableExtents(t *testing.T) {
+	pt := NewPageTable()
+	for _, m := range []struct{ va, pa, size uint64 }{
+		{0x20000, 0x900000, 3*PageSize + 1}, // four pages
+		{0x10000, 0x500000, 2 * PageSize},   // mapped second, sorts first
+		{0x12000, 0x700000, PageSize},       // touches the one before it
+		{0x40000, 0x100000, 0},              // nothing
+	} {
+		if err := pt.Map(m.va, m.pa, m.size, PermRW); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pt.NumPages() != 7 {
+		t.Fatalf("NumPages = %d, want 7", pt.NumPages())
+	}
+	for _, c := range []struct {
+		va, pa uint64
+		ok     bool
+	}{
+		{0xf000, 0, false},
+		{0x10000, 0x500000, true},
+		{0x11000, 0x501000, true},
+		{0x12000, 0x700000, true},
+		{0x13000, 0, false},
+		{0x1f000, 0, false},
+		{0x20000, 0x900000, true},
+		{0x23000, 0x903000, true}, // the partial last page
+		{0x24000, 0, false},
+		{0x40000, 0, false},
+	} {
+		pa, perm, ok := pt.lookup(c.va)
+		if ok != c.ok || pa != c.pa || (ok && perm != PermRW) {
+			t.Fatalf("lookup(%#x) = %#x, %v, %v; want %#x, %v", c.va, pa, perm, ok, c.pa, c.ok)
+		}
+	}
+	for _, m := range []struct{ va, size uint64 }{
+		{0x10000, PageSize},     // the first page of an extent
+		{0x11000, PageSize},     // its last
+		{0xf000, 2 * PageSize},  // runs into the extent after it
+		{0x23000, 1},            // the page a partial mapping rounded up to
+		{0x1f000, 8 * PageSize}, // swallows an extent whole
+	} {
+		if err := pt.Map(m.va, 0xa00000, m.size, PermRead); err == nil {
+			t.Fatalf("Map(%#x, %#x) over mapped pages: expected an error", m.va, m.size)
+		}
+	}
+	if pt.NumPages() != 7 {
+		t.Fatalf("NumPages = %d after refused mappings, want 7", pt.NumPages())
+	}
+	if pa, perm, ok := pt.lookup(0x10000); !ok || pa != 0x500000 || perm != PermRW {
+		t.Fatalf("lookup(0x10000) = %#x, %v, %v after refused mappings", pa, perm, ok)
 	}
 }
 
@@ -432,6 +493,32 @@ func TestDMAEngineErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestDMAEngineAccountsPartialTransfer: a transfer that runs off the end
+// of the mapping stops at the failing burst, and every statistic covers
+// the part that ran — not the bursts and stalls alone.
+func TestDMAEngineAccountsPartialTransfer(t *testing.T) {
+	h := NewHBM(1, 16, 0)
+	p, _ := h.Port()
+	pt := NewPageTable()
+	if err := pt.Map(0, 0x100000, 2*PageSize, PermRead); err != nil {
+		t.Fatal(err)
+	}
+	d := NewDMAEngine(p, NewPageTranslator(pt, 4))
+	done, err := d.Transfer(100, PageSize, 3*PageSize) // the second mapped page, then two that are not
+	if !errors.Is(err, ErrUnmapped) {
+		t.Fatalf("err = %v, want ErrUnmapped", err)
+	}
+	bursts := uint64(PageSize / DefaultBurstBytes)
+	wantDone := sim.Cycles(100 + DefaultWalkCycles + PageSize/16)
+	want := DMAStats{Transfers: 1, Bytes: PageSize, Bursts: bursts, StallCycles: DefaultWalkCycles, BusyCycles: wantDone - 100}
+	if done != wantDone || d.Stats() != want {
+		t.Fatalf("done = %v, stats = %+v; want %v, %+v", done, d.Stats(), wantDone, want)
+	}
+	if p.BytesMoved() != PageSize {
+		t.Fatalf("port moved %d bytes, want %d", p.BytesMoved(), PageSize)
+	}
+}
+
 func TestPermString(t *testing.T) {
 	if PermRW.String() != "W/R" || PermRead.String() != "R" || PermWrite.String() != "W" || Perm(0).String() != "-" {
 		t.Fatal("perm strings wrong")
@@ -500,4 +587,288 @@ func TestUnboundBankIsEmptyAndKeepsStorage(t *testing.T) {
 	if got != want {
 		t.Fatalf("recycled bank finished at %v, new bank at %v", got, want)
 	}
+}
+
+// refTransfer is DMAEngine.Transfer as it was before bursts went out in
+// trains — one Translate and one Port.Transfer per burst — with the
+// statistics kept the same way. The differential and fuzz tests below hold
+// the engine to it.
+func refTransfer(d *DMAEngine, at sim.Cycles, va uint64, size int) (sim.Cycles, error) {
+	if size <= 0 {
+		return at, nil
+	}
+	burst := d.BurstBytes
+	if burst <= 0 {
+		burst = DefaultBurstBytes
+	}
+	var err error
+	cursor, remaining, addr := at, size, va
+	for remaining > 0 {
+		n := min(burst, remaining)
+		if d.Trace != nil {
+			d.Trace(addr, cursor)
+		}
+		_, stall, terr := d.Translator.Translate(addr)
+		if terr != nil {
+			err = terr
+			break
+		}
+		cursor += stall
+		cursor = d.Port.Transfer(cursor, n)
+		d.stats.Bursts++
+		d.stats.StallCycles += stall
+		addr += uint64(n)
+		remaining -= n
+	}
+	d.stats.Transfers++
+	d.stats.Bytes += int64(size - remaining)
+	d.stats.BusyCycles += cursor - at
+	return cursor, err
+}
+
+// dmaWorld is one HBM and the DMA engines sharing it. Two worlds built
+// from the same header are identical and share nothing.
+type dmaWorld struct {
+	hbm     *HBM
+	engines []*DMAEngine
+	traces  [][]burstIssue // traces[e] is what engine e's Trace callback saw
+	span    uint64         // the engines' mapped blocks lie in [dmaWorldBase, dmaWorldBase+span)
+}
+
+type burstIssue struct {
+	va uint64
+	at sim.Cycles
+}
+
+const (
+	dmaWorldHeader = 8 // bytes of a test input that describe the world
+	dmaWorldBase   = 0x100000
+)
+
+// newDMAWorld decodes h[:dmaWorldHeader]: 1-8 channels of 16 or 64 B/cycle
+// with latency 0, 7 or 20; 2-9 engines, engine e on 1, 2, 3 or all of the
+// channels starting from one that depends on e; translators of one kind —
+// range (1-8 blocks, a TLB of 4, 1 or 2), page (a TLB of 0, 4 or 32) or
+// identity; optionally one access counter shared by every engine or every
+// other one, a traced engine, an engine with 192-byte bursts, range blocks
+// that do not end on a burst boundary, and an unmapped page between the
+// second block and the third.
+func newDMAWorld(tb testing.TB, h []byte) *dmaWorld {
+	tb.Helper()
+	channels := 1 + int(h[0]%8)
+	w := &dmaWorld{hbm: NewHBM(channels, []int{16, 64}[h[2]&1], []sim.Cycles{0, 7, 20}[h[2]>>1%3])}
+	kind := h[3] % 5 // 0-2 range, 3 page, 4 identity
+	blockSize := uint64(PageSize) * uint64(1+h[7]%4)
+	if kind <= 2 {
+		blockSize += 128 * uint64(h[7]>>2%8)
+	}
+	var entries []RTTEntry
+	pt := NewPageTable()
+	for i, blocks := 0, 1+int(h[4]%8); i < blocks; i++ {
+		if i == 2 && h[7]&0x80 != 0 {
+			w.span += PageSize
+		}
+		// Physical blocks in falling order: nothing may lean on pa rising with va.
+		e := RTTEntry{VA: dmaWorldBase + w.span, PA: uint64(64-i) << 20, Size: blockSize, Perm: PermRW}
+		entries = append(entries, e)
+		if kind == 3 {
+			if err := pt.Map(e.VA, e.PA, e.Size, e.Perm); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		w.span += blockSize
+	}
+	var counter *AccessCounter
+	if h[6]&3 != 0 {
+		counter = &AccessCounter{MaxBytes: 4096, Window: 256}
+	}
+	engines := 2 + int(h[1]%8)
+	w.traces = make([][]burstIssue, engines)
+	for e := 0; e < engines; e++ {
+		n := min([]int{1, 2, 3, channels}[(int(h[5])+e)%4], channels)
+		list := make([]int, n)
+		for i := range list {
+			list[i] = (e + int(h[5]>>2) + i) % channels
+		}
+		port, err := w.hbm.Port(list...)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if h[6]&2 != 0 || (h[6]&1 != 0 && e%2 == 0) {
+			port.SetCounter(counter)
+		}
+		var tr Translator
+		switch kind {
+		case 3:
+			tr = NewPageTranslator(pt, []int{0, 4, 32}[h[4]>>3%3])
+		case 4:
+			tr = &Identity{}
+		default:
+			rtt, err := NewRTT(entries)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			rt := NewRangeTranslator(rtt)
+			rt.Entries = []int{0, 1, 2}[h[4]>>3%3]
+			tr = rt
+		}
+		d := NewDMAEngine(port, tr)
+		if h[6]&8 != 0 && e == 1 {
+			d.BurstBytes = 192
+		}
+		if h[6]&4 != 0 && e == 0 {
+			d.Trace = func(va uint64, at sim.Cycles) { w.traces[0] = append(w.traces[0], burstIssue{va, at}) }
+		}
+		w.engines = append(w.engines, d)
+	}
+	return w
+}
+
+// diff names the first thing engine e or any channel of w has that the
+// same engine or channel of ref has not, or returns "".
+func (w *dmaWorld) diff(ref *dmaWorld, e int) string {
+	d, r := w.engines[e], ref.engines[e]
+	if d.stats != r.stats {
+		return fmt.Sprintf("DMAStats %+v, reference %+v", d.stats, r.stats)
+	}
+	if d.Translator.Stats() != r.Translator.Stats() {
+		return fmt.Sprintf("TranslateStats %+v, reference %+v", d.Translator.Stats(), r.Translator.Stats())
+	}
+	if dt, ok := d.Translator.(*RangeTranslator); ok {
+		if rt := r.Translator.(*RangeTranslator); dt.RTT.Cur() != rt.RTT.Cur() {
+			return fmt.Sprintf("RTT_CUR %d, reference %d", dt.RTT.Cur(), rt.RTT.Cur())
+		}
+	}
+	// TLB contents and order, every last_v, the shared page table.
+	if !reflect.DeepEqual(d.Translator, r.Translator) {
+		return fmt.Sprintf("translator %+v, reference %+v", d.Translator, r.Translator)
+	}
+	if d.Port.BytesMoved() != r.Port.BytesMoved() {
+		return fmt.Sprintf("port moved %d bytes, reference %d", d.Port.BytesMoved(), r.Port.BytesMoved())
+	}
+	if !reflect.DeepEqual(d.Port.counter, r.Port.counter) {
+		return fmt.Sprintf("access counter %+v, reference %+v", d.Port.counter, r.Port.counter)
+	}
+	if !reflect.DeepEqual(w.traces[e], ref.traces[e]) {
+		return fmt.Sprintf("traced %d bursts, reference %d, or not the same ones", len(w.traces[e]), len(ref.traces[e]))
+	}
+	for i := range w.hbm.channels {
+		c, rc := &w.hbm.channels[i], &ref.hbm.channels[i]
+		if c.Grants() != rc.Grants() || c.BusyTotal() != rc.BusyTotal() || c.Spans() != rc.Spans() {
+			return fmt.Sprintf("channel %d grants/busy/spans = %d/%d/%d, reference %d/%d/%d",
+				i, c.Grants(), c.BusyTotal(), c.Spans(), rc.Grants(), rc.BusyTotal(), rc.Spans())
+		}
+	}
+	return ""
+}
+
+// runDMATrainOps builds two worlds from the header of data and reads the
+// rest as 5-byte transfers — engine, issue delay, address, size — driving
+// one world through refTransfer and the other through the engine. Each
+// engine has its own clock, so an engine picked after a long pause issues
+// behind the others' reservations: the trains' contended path. It returns
+// how many transfers ended in a translation error.
+func runDMATrainOps(tb testing.TB, data []byte) (failed int) {
+	tb.Helper()
+	if len(data) < dmaWorldHeader {
+		return 0
+	}
+	ref, got := newDMAWorld(tb, data), newDMAWorld(tb, data)
+	now := make([]sim.Cycles, len(ref.engines))
+	next := make([]uint64, len(ref.engines)) // where engine e's last transfer ended
+	ops := data[dmaWorldHeader:]
+	for op := 0; len(ops) >= 5; op, ops = op+1, ops[5:] {
+		e := int(ops[0]) % len(ref.engines)
+		at := now[e] + sim.Cycles(ops[1]%64)
+		off := (uint64(ops[2])<<8 | uint64(ops[3])) * 41 % ref.span // any alignment
+		size := 0
+		switch v := int(ops[4] >> 3); ops[4] % 8 {
+		case 0:
+			size = 1 + 16*v // below one burst
+		case 1:
+			size = 512 * (1 + v) // whole bursts
+		case 2:
+			size = 512*(1+v) + 1 + 13*v // a short last burst
+		case 3:
+			size = PageSize * (1 + v) // across blocks, at times past the last one
+		case 4:
+			size = 64 * v // zero included
+			if v == 31 {
+				// A new job on a resident vNPU: translation-cold again.
+				for _, w := range []*dmaWorld{ref, got} {
+					if tr, ok := w.engines[e].Translator.(interface{ ResetTransient() }); ok {
+						tr.ResetTransient()
+					}
+					w.engines[e].Port.ResetTransient()
+				}
+			}
+		default:
+			// Stream on from the engine's last transfer up to the end of
+			// the last block at most, so that the next one wraps to the
+			// first block.
+			off = next[e]
+			size = int(min(uint64(2048*(1+v)), ref.span-off))
+		}
+		next[e] = (off + uint64(size)) % ref.span
+		va := dmaWorldBase + off
+		wantDone, wantErr := refTransfer(ref.engines[e], at, va, size)
+		gotDone, gotErr := got.engines[e].Transfer(at, va, size)
+		if gotDone != wantDone || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			tb.Fatalf("op %d: engine %d Transfer(%d, %#x, %d) = %d, %v; reference %d, %v",
+				op, e, at, va, size, gotDone, gotErr, wantDone, wantErr)
+		}
+		if d := got.diff(ref, e); d != "" {
+			tb.Fatalf("op %d: after engine %d Transfer(%d, %#x, %d): %s", op, e, at, va, size, d)
+		}
+		if wantErr != nil {
+			failed++
+		}
+		now[e] = wantDone
+	}
+	// The schedules themselves, interval by interval.
+	if !reflect.DeepEqual(got.hbm, ref.hbm) {
+		tb.Fatalf("after %d bytes of transfers the channel schedules differ from the reference's", len(data))
+	}
+	return failed
+}
+
+// dmaTrainInput is a seeded input for runDMATrainOps: seed picks the
+// translator kind, block count and TLB size in turn, the rest is random.
+func dmaTrainInput(seed int64, ops int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	data := make([]byte, dmaWorldHeader+5*ops)
+	rng.Read(data)
+	data[3] = byte(seed)
+	data[4] = byte(seed / 5)
+	return data
+}
+
+// TestDMATrainMatchesPerBurst holds the engine — run translation, burst
+// trains, the contended fallback — to the per-burst loop it replaced, over
+// seeded worlds of every translator kind and port shape.
+func TestDMATrainMatchesPerBurst(t *testing.T) {
+	failed := 0
+	for seed := int64(0); seed < 120; seed++ {
+		failed += runDMATrainOps(t, dmaTrainInput(seed, 300))
+	}
+	if failed == 0 {
+		t.Fatal("no transfer ran off the mapping: the error path went untested")
+	}
+}
+
+// FuzzDMATrain reads the input as a world header and a stream of transfers
+// and holds the engine to the per-burst reference after every one.
+func FuzzDMATrain(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(dmaTrainInput(1, 40))  // range
+	f.Add(dmaTrainInput(3, 40))  // page without a TLB
+	f.Add(dmaTrainInput(43, 40)) // page, 4 entries
+	f.Add(dmaTrainInput(83, 40)) // page, 32 entries
+	f.Add(dmaTrainInput(4, 40))  // identity
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > dmaWorldHeader+5*1000 {
+			data = data[:dmaWorldHeader+5*1000]
+		}
+		runDMATrainOps(t, data)
+	})
 }

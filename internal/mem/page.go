@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/vnpu-sim/vnpu/internal/sim"
 )
@@ -18,41 +19,79 @@ const DefaultWalkCycles = 200
 
 // PageTable is a flat VA->PA page mapping managed by the hypervisor. It is
 // the baseline the paper argues against for NPUs: every 4 KiB of a
-// multi-megabyte tensor needs its own entry.
+// multi-megabyte tensor needs its own entry. The model charges for those
+// entries (NumPages, one walk per page missed) but stores what Map was
+// given — one extent per call — and answers a page lookup from the extent
+// that holds the page.
 type PageTable struct {
-	pages map[uint64]uint64 // page-aligned VA -> page-aligned PA
-	perms map[uint64]Perm
+	extents []pageExtent // sorted by va, disjoint
+}
+
+// pageExtent is one Map call: size bytes (whole pages) at va onto pa.
+type pageExtent struct {
+	va, pa, size uint64
+	perm         Perm
 }
 
 // NewPageTable returns an empty page table.
-func NewPageTable() *PageTable {
-	return &PageTable{pages: make(map[uint64]uint64), perms: make(map[uint64]Perm)}
-}
+func NewPageTable() *PageTable { return &PageTable{} }
 
-// Map installs translations covering [va, va+size) onto [pa, pa+size).
-// Both addresses must be page aligned.
+// Map installs translations covering [va, va+size) onto [pa, pa+size); a
+// partial last page is mapped whole. Both addresses must be page aligned,
+// and the pages must not be mapped already.
 func (pt *PageTable) Map(va, pa, size uint64, perm Perm) error {
 	if va%PageSize != 0 || pa%PageSize != 0 {
 		return fmt.Errorf("mem: unaligned page mapping %s -> %#x", fmtRange(va, size), pa)
 	}
-	for off := uint64(0); off < size; off += PageSize {
-		pt.pages[va+off] = pa + off
-		pt.perms[va+off] = perm
+	if size == 0 {
+		return nil
 	}
+	size = (size + PageSize - 1) &^ uint64(PageSize-1)
+	// i is the first extent starting at or after va: the new one goes in
+	// front of it, and only it and the one before can overlap the new one.
+	i := sort.Search(len(pt.extents), func(i int) bool { return pt.extents[i].va >= va })
+	for _, e := range pt.extents[max(i-1, 0):min(i+1, len(pt.extents))] {
+		if e.va < va+size && va < e.va+e.size {
+			return fmt.Errorf("mem: page mapping %s overlaps %s", fmtRange(va, size), fmtRange(e.va, e.size))
+		}
+	}
+	pt.extents = append(pt.extents, pageExtent{})
+	copy(pt.extents[i+1:], pt.extents[i:])
+	pt.extents[i] = pageExtent{va: va, pa: pa, size: size, perm: perm}
 	return nil
 }
 
 // NumPages reports how many page entries are installed — the page-table
 // footprint the RTT is compared against (144 bits/range vs 8 bytes/page).
-func (pt *PageTable) NumPages() int { return len(pt.pages) }
+func (pt *PageTable) NumPages() int {
+	n := 0
+	for _, e := range pt.extents {
+		n += int(e.size / PageSize)
+	}
+	return n
+}
 
 // lookup returns the physical page base for a VA page base.
 func (pt *PageTable) lookup(pageVA uint64) (uint64, Perm, bool) {
-	pa, ok := pt.pages[pageVA]
-	if !ok {
+	// The last extent starting at or before the page is the only one
+	// that can hold it.
+	lo, hi := 0, len(pt.extents)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if pt.extents[mid].va <= pageVA {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == 0 {
 		return 0, 0, false
 	}
-	return pa, pt.perms[pageVA], true
+	e := &pt.extents[lo-1]
+	if pageVA-e.va >= e.size {
+		return 0, 0, false
+	}
+	return e.pa + (pageVA - e.va), e.perm, true
 }
 
 // PageTranslator is the per-core IOTLB model ("IOTLB4"/"IOTLB32" in
@@ -126,22 +165,39 @@ func (t *PageTranslator) Translate(va uint64) (uint64, sim.Cycles, error) {
 	return paPage + off, stall, nil
 }
 
+// TranslateRun implements Translator: the run ends with the page. Without
+// a TLB nothing holds the page for the next burst, so the run is va alone.
+func (t *PageTranslator) TranslateRun(va, stride uint64, limit int) (int, sim.Cycles, error) {
+	_, stall, err := t.Translate(va)
+	if err != nil {
+		return 0, 0, err
+	}
+	if t.Entries <= 0 {
+		return 1, stall, nil
+	}
+	n := runLength(va, va&^uint64(PageSize-1)+PageSize, stride, limit)
+	t.stats.Hits += uint64(n - 1)
+	return n, stall, nil
+}
+
 // Stats implements Translator.
 func (t *PageTranslator) Stats() TranslateStats { return t.stats }
 
 // ResetTransient empties the IOTLB so the next run starts
 // translation-cold like a fresh vNPU. Cumulative statistics are
 // preserved.
-func (t *PageTranslator) ResetTransient() {
-	t.tlb.keys = t.tlb.keys[:0]
-	t.tlb.vals = t.tlb.vals[:0]
-}
+func (t *PageTranslator) ResetTransient() { t.tlb.reset() }
 
 // lruCache is a tiny fully-associative LRU keyed by page VA. TLBs hold a
 // handful of entries, so a slice scan beats pointer-chasing structures.
 type lruCache struct {
 	keys []uint64
 	vals []uint64
+}
+
+func (c *lruCache) reset() {
+	c.keys = c.keys[:0]
+	c.vals = c.vals[:0]
 }
 
 func (c *lruCache) get(key uint64) (uint64, bool) {

@@ -160,22 +160,43 @@ func NewRangeTranslator(rtt *RTT) *RangeTranslator {
 
 // Translate implements Translator.
 func (t *RangeTranslator) Translate(va uint64) (uint64, sim.Cycles, error) {
+	e, stall, err := t.translate(va)
+	if err != nil {
+		return 0, 0, err
+	}
+	return e.PA + (va - e.VA), stall, nil
+}
+
+// TranslateRun implements Translator: the run ends with the RTT entry.
+func (t *RangeTranslator) TranslateRun(va, stride uint64, limit int) (int, sim.Cycles, error) {
+	e, stall, err := t.translate(va)
+	if err != nil {
+		return 0, 0, err
+	}
+	n := runLength(va, e.VA+e.Size, stride, limit)
+	t.stats.Hits += uint64(n - 1)
+	return n, stall, nil
+}
+
+// translate finds the entry covering va, in the range TLB or by an RTT
+// walk, and leaves it in the TLB's most recently used slot.
+func (t *RangeTranslator) translate(va uint64) (*RTTEntry, sim.Cycles, error) {
 	// Range TLB: check cached entries, most recent first.
 	for pos, idx := range t.tlb {
-		e := t.RTT.Entry(idx)
+		e := &t.RTT.entries[idx]
 		if e.Covers(va) {
 			if pos != 0 {
 				copy(t.tlb[1:pos+1], t.tlb[:pos])
 				t.tlb[0] = idx
 			}
 			t.stats.Hits++
-			return e.PA + (va - e.VA), 0, nil
+			return e, 0, nil
 		}
 	}
 	idx, probes, found := t.RTT.lookup(va)
 	t.stats.Probes += uint64(probes)
 	if !found {
-		return 0, 0, fmt.Errorf("%w: %#x", ErrUnmapped, va)
+		return nil, 0, fmt.Errorf("%w: %#x", ErrUnmapped, va)
 	}
 	t.stats.Misses++
 	stall := sim.Cycles(probes)*RangeProbeCycles + RangeRefillCycles
@@ -190,8 +211,7 @@ func (t *RangeTranslator) Translate(va uint64) (uint64, sim.Cycles, error) {
 	}
 	copy(t.tlb[1:], t.tlb[:len(t.tlb)-1])
 	t.tlb[0] = idx
-	e := t.RTT.Entry(idx)
-	return e.PA + (va - e.VA), stall, nil
+	return &t.RTT.entries[idx], stall, nil
 }
 
 // Stats implements Translator.

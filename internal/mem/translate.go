@@ -15,8 +15,25 @@ type Translator interface {
 	// Translate maps one burst address. stall is the pipeline stall in
 	// cycles caused by this translation (0 on a TLB hit).
 	Translate(va uint64) (pa uint64, stall sim.Cycles, err error)
+	// TranslateRun translates the burst at va exactly as Translate does —
+	// the same TLB, LRU, RTT_CUR and last_v changes, the same stall, the
+	// same error — and reports as n how many bursts of the run va,
+	// va+stride, va+2*stride, ... (at most limit, va's own included) start
+	// inside the entry or page that served va. Translating bursts 2..n one
+	// by one would hit the most recently used slot n-1 times and change
+	// nothing else, so TranslateRun adds n-1 to Hits and leaves all other
+	// state as the first translation left it. n is 1 when a translator
+	// cannot promise that (a page translator without a TLB misses every
+	// time) and 0 with an error. stride and limit are at least 1.
+	TranslateRun(va, stride uint64, limit int) (n int, stall sim.Cycles, err error)
 	// Stats reports cumulative hit/miss counters.
 	Stats() TranslateStats
+}
+
+// runLength is how many of the addresses va, va+stride, ... lie below end,
+// capped at limit; va itself does.
+func runLength(va, end, stride uint64, limit int) int {
+	return int(min((end-1-va)/stride+1, uint64(limit)))
 }
 
 // TranslateStats counts translation outcomes.
@@ -53,6 +70,12 @@ type Identity struct{ stats TranslateStats }
 func (t *Identity) Translate(va uint64) (uint64, sim.Cycles, error) {
 	t.stats.Hits++
 	return va, 0, nil
+}
+
+// TranslateRun implements Translator: the whole address space is one range.
+func (t *Identity) TranslateRun(_, _ uint64, limit int) (int, sim.Cycles, error) {
+	t.stats.Hits += uint64(limit)
+	return limit, 0, nil
 }
 
 // Stats implements Translator.

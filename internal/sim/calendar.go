@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // Calendar is a serially-reusable resource with gap-filling reservations:
 // unlike Resource (FIFO by reservation order), a Calendar keeps the actual
 // schedule and places each reservation in the earliest idle gap at or
@@ -10,8 +12,11 @@ package sim
 // Most requests land at or past the end of the schedule (a core's DMA
 // bursts arrive in rising time order), so Probe and Commit both look at
 // the last interval before they search: a tail reservation is O(1) and,
-// once the slice has grown, allocation-free. Reset keeps the slice's
-// capacity, so a calendar that is reset between jobs grows once.
+// once the slice has grown, allocation-free. The rest land a short way
+// back from the end (another core's bursts, a few hundred cycles behind),
+// so the search gallops back from the tail before it bisects. Reset keeps
+// the slice's capacity, so a calendar that is reset between jobs grows
+// once.
 type Calendar struct {
 	busy      []ival // sorted, disjoint, coalesced
 	busyTotal Cycles
@@ -33,9 +38,17 @@ func (c *Calendar) Probe(at, dur Cycles) Cycles {
 	start := at
 	// Skip intervals ending at or before the requested time, then walk
 	// forward until a gap fits. The intervals are disjoint and sorted by
-	// start, hence also by end, so the skip is a binary search: lo ends
-	// at the first interval with end > at.
-	lo, hi := 0, n-1 // busy[n-1].end > at, so the answer is in [0, n-1]
+	// start, hence also by end, so the skip is a search for the first
+	// interval with end > at: busy[n-1] is one, gallop back from it until
+	// one is not, then bisect between the two.
+	lo, hi := 0, n-1
+	for step := 1; step <= hi; step <<= 1 {
+		if c.busy[hi-step].end <= at {
+			lo = hi - step + 1
+			break
+		}
+		hi -= step
+	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if c.busy[mid].end > at {
@@ -88,8 +101,16 @@ func (c *Calendar) Commit(start, dur Cycles) {
 	}
 	// A gap in the middle of the schedule. idx is the first interval
 	// starting after start: the new one goes in front of it, merging with
-	// either neighbour it touches.
+	// either neighbour it touches. Position n stands for "none"; the search
+	// gallops back from it as Probe's does.
 	idx, hi := 0, n
+	for step := 1; step <= hi; step <<= 1 {
+		if c.busy[hi-step].start <= start {
+			idx = hi - step + 1
+			break
+		}
+		hi -= step
+	}
 	for idx < hi {
 		mid := int(uint(idx+hi) >> 1)
 		if c.busy[mid].start > start {
@@ -113,6 +134,43 @@ func (c *Calendar) Commit(start, dur Cycles) {
 		copy(c.busy[idx+1:], c.busy[idx:])
 		c.busy[idx] = ival{start, end}
 	}
+}
+
+// AppendTrain books count reservations of dur cycles each, the k-th at
+// at + k*stride, provided the schedule's last interval ends at or before
+// `at`; otherwise it books nothing and reports false. A stride shorter
+// than dur is taken as dur, so the train never overlaps itself. The
+// outcome is what count calls of Reserve at those times give — every one
+// of them is a tail reservation that starts when asked — in one step:
+// the first interval extends the tail if it touches it, the rest are
+// appended (or, back to back, all merge into one).
+func (c *Calendar) AppendTrain(at, dur, stride Cycles, count int) bool {
+	n := len(c.busy)
+	if n > 0 && c.busy[n-1].end > at {
+		return false
+	}
+	if count <= 0 {
+		return true
+	}
+	c.grants += uint64(count)
+	if dur <= 0 {
+		return true
+	}
+	c.busyTotal += dur * Cycles(count)
+	if stride <= dur {
+		dur, count = dur*Cycles(count), 1 // back to back: one interval
+	}
+	if n > 0 && c.busy[n-1].end == at {
+		c.busy[n-1].end = at + dur
+		at += stride
+		count--
+	}
+	c.busy = slices.Grow(c.busy, count)[:n+count]
+	for i := range c.busy[n:] {
+		c.busy[n+i] = ival{at, at + dur}
+		at += stride
+	}
+	return true
 }
 
 // BusyTotal reports cumulative reserved cycles.

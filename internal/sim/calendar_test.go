@@ -220,6 +220,33 @@ func (p *calPair) commit(at, dur Cycles) {
 	p.check()
 }
 
+// train appends a burst train the way mem.Port.TransferTrain does. The
+// reference is count reservations, the k-th at at + k*stride with a stride
+// below dur read as dur; a train the schedule's tail is in the way of must
+// be refused and leave everything as it was.
+func (p *calPair) train(at, dur, stride Cycles, count int) {
+	p.t.Helper()
+	p.ops++
+	tailClear := len(p.ref.busy) == 0 || p.ref.busy[len(p.ref.busy)-1].end <= at
+	if got := p.cal.AppendTrain(at, dur, stride, count); got != tailClear {
+		p.t.Fatalf("op %d: AppendTrain(%d, %d, %d, %d) = %v with the reference's tail clear of it: %v",
+			p.ops, at, dur, stride, count, got, tailClear)
+	}
+	if tailClear {
+		if stride < dur {
+			stride = dur
+		}
+		for k := 0; k < count; k++ {
+			// An empty reservation only counts; where it lands says nothing.
+			want := at + Cycles(k)*stride
+			if got := p.ref.Reserve(want, dur); got != want && dur > 0 {
+				p.t.Fatalf("op %d: burst %d of the train asks for %d, the reference starts it at %d", p.ops, k, want, got)
+			}
+		}
+	}
+	p.check()
+}
+
 func (p *calPair) reset() {
 	p.t.Helper()
 	p.ops++
@@ -302,6 +329,22 @@ func TestCalendarBranchesMatchReference(t *testing.T) {
 			p.probe(50, 0)
 			p.probe(50, -1)
 
+			// Trains: the tail is [400,610).
+			p.train(609, 8, 20, 3) // tail in the way: refused
+			p.train(610, 8, 20, 3) // touches the tail: extends it, appends two
+			spans(4)
+			p.train(700, 8, 20, 1) // past the tail
+			p.train(800, 8, 8, 5)  // back to back: one interval
+			p.train(840, 8, 3, 5)  // stride < dur reads as dur, touching the tail
+			spans(6)
+			p.train(900, 0, 20, 4)  // dur == 0: grants only
+			p.train(900, -3, -9, 4) // dur < 0 counts as 0
+			p.train(900, 8, 20, 0)  // nothing to book
+			p.train(900, 8, 20, -2)
+			spans(6)
+			book(640, 4) // a mid insert between a train's intervals
+			spans(7)
+
 			// Reuse after Reset: empty again, on the old storage.
 			grown := cap(p.cal.busy)
 			p.reset()
@@ -309,10 +352,11 @@ func TestCalendarBranchesMatchReference(t *testing.T) {
 				t.Fatalf("Reset dropped the interval storage: cap %d, was %d", cap(p.cal.busy), grown)
 			}
 			p.probe(0, 10)
-			book(5, 10)
+			p.train(5, 4, 6, 3) // on an empty schedule
+			spans(3)
 			book(0, 5)
-			book(0, 5)
-			spans(1)
+			book(0, 4)
+			spans(3)
 		})
 	}
 }
@@ -335,6 +379,15 @@ func (p *calPair) calOp(kind byte, a, b uint16, base *Cycles) {
 		p.reserve(at, dur)
 	case 9:
 		p.reserve(Cycles(a), dur) // anywhere in the first 65536 cycles
+	case 10, 11:
+		// A train at, just past or (one time in four) inside the tail,
+		// with a stride around dur and up to 34 bursts.
+		tail := Cycles(0)
+		if n := len(p.ref.busy); n > 0 {
+			tail = p.ref.busy[n-1].end
+		}
+		p.train(tail+Cycles(a%4)-1, dur, dur+Cycles(a>>2%8)-2, int(b>>5%36)-1)
+		*base = tail
 	default:
 		p.commit(at, dur)
 	}
@@ -361,7 +414,8 @@ func TestCalendarMatchesReferenceRandomOps(t *testing.T) {
 func FuzzCalendar(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 0, 0, 0, 10, 4, 0, 0, 0, 10, 10, 0, 200, 0, 5, 1, 0, 0, 0, 3, 0, 0, 0, 0, 0, 4, 0, 5, 0, 9})
-	f.Add([]byte{9, 1, 0, 0, 12, 9, 0, 0, 0, 12, 9, 0, 128, 0, 14, 10, 0, 140, 0, 12, 4, 0, 0, 0, 2, 4, 0, 0, 0, 1})
+	f.Add([]byte{9, 1, 0, 0, 12, 9, 0, 0, 0, 12, 9, 0, 128, 0, 14, 12, 0, 140, 0, 12, 4, 0, 0, 0, 2, 4, 0, 0, 0, 1})
+	f.Add([]byte{4, 0, 0, 0, 10, 10, 0, 1, 1, 10, 10, 0, 18, 2, 33, 12, 0, 3, 0, 7, 11, 0, 0, 3, 200, 0, 0, 0, 0, 0, 10, 0, 2, 0, 70})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 5*2000 {
 			data = data[:5*2000]

@@ -263,31 +263,7 @@ func TestRecycledTimingStorageCycleIdentical(t *testing.T) {
 	big, small := shape{"resnet18", Mesh(3, 3)}, shape{"alexnet", Chain(4)}
 	oneShot := func(sys *System, s shape) Report {
 		t.Helper()
-		m := mustModel(t, s.model)
-		bytes, err := sys.ModelMemoryBytes(m, s.topology.NumNodes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, err := sys.Create(NewRequest(s.topology, WithMemory(bytes)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := v.OpenDomain(); err != nil {
-			t.Fatal(err)
-		}
-		cm, err := sys.CompileFor(v, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v.ResetForRun()
-		rep, err := sys.RunCompiled(context.Background(), v, cm, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Destroy(v); err != nil {
-			t.Fatal(err)
-		}
-		return rep
+		return runOneShot(t, sys, s.model, s.topology, 1)
 	}
 	newSystem := func() *System {
 		t.Helper()
