@@ -65,11 +65,8 @@ type Cluster struct {
 	// it. The hypervisor hands out disjoint core sets, so on the serving
 	// paths the wait is normally zero — the lock is the safety net that
 	// turns an isolation bug into serialization instead of timing
-	// corruption. A vNPU without a timing domain claims the whole chip
-	// (its reset is chip-global). chipNodes caches each chip's full node
-	// list for those exclusive claims.
-	regions   []*chipRegions
-	chipNodes [][]topo.NodeID
+	// corruption.
+	regions []*chipRegions
 
 	// placeMu serializes, per chip, the step that turns a placement into
 	// a vNPU (createPlaced). Between the hypervisor taking the cores and
@@ -106,18 +103,13 @@ type Cluster struct {
 	// parked on ErrNoCapacity rescore instead of spinning or failing.
 	capFreed chan struct{}
 
-	// sessMu guards the session path's admission state and serving
-	// counters (tenant quota slots live in the dispatcher's counter via
-	// ReserveSlot, so both paths check it atomically). sessClosed also
-	// serves as the cluster's Close-once flag.
-	sessMu        sync.Mutex
-	sessClosed    bool
-	sessInflight  int
-	sessWG        sync.WaitGroup
-	sessSubmitted uint64
-	sessCompleted uint64
-	sessFailed    uint64
-	sessChipJobs  []int
+	// sessMu orders session admissions against Close: a session job joins
+	// sessWG under it only while sessClosed is unset, so Close's Wait
+	// cannot miss one. sessClosed also serves as the cluster's Close-once
+	// flag. Every serving counter lives in the dispatcher (Admit/Finish).
+	sessMu     sync.Mutex
+	sessClosed bool
+	sessWG     sync.WaitGroup
 
 	// defaultPriority is the class PriorityDefault resolves to;
 	// priorityCaps clamps specific tenants' classes (see
@@ -174,10 +166,6 @@ type Cluster struct {
 	rec   *obs.Recorder
 	slo   *slo.Tracker
 	shard int
-	// sessExec/sessE2E are the session path's handles on the per-class
-	// stage histograms shared with the dispatcher (see initStageHists).
-	sessExec [NumPriorityClasses]*obs.Histogram
-	sessE2E  [NumPriorityClasses]*obs.Histogram
 
 	// testExecHook, when set before any Submit, runs at the start of every
 	// job execution — a test seam for holding jobs on their chips.
@@ -213,7 +201,6 @@ type clusterConfig struct {
 	sessionReuse    bool
 	sessionTTL      time.Duration
 	sessionIdle     int
-	sessionMicro    int
 	defaultPriority Priority
 	priorityCaps    map[string]Priority
 	agingRounds     int
@@ -224,7 +211,6 @@ type clusterConfig struct {
 	regretTarget    float64
 	timing          TimingBackend
 	clock           sim.Clock
-	negTTL          *time.Duration
 	tracing         bool
 	traceBuf        int
 	// slos are the declared error-budget objectives (WithSLO); sloShared
@@ -318,12 +304,10 @@ func NewCluster(cfg Config, chips int, opts ...ClusterOption) (*Cluster, error) 
 		clk:             cc.clock,
 		systems:         make([]*System, len(specs)),
 		regions:         make([]*chipRegions, len(specs)),
-		chipNodes:       make([][]topo.NodeID, len(specs)),
 		placeMu:         make([]sync.Mutex, len(specs)),
 		coreNanos:       make([]atomic.Int64, len(specs)),
 		curJobs:         make([]atomic.Int64, len(specs)),
 		progs:           make(map[progKey]*progEntry),
-		sessChipJobs:    make([]int, len(specs)),
 		seen:            make(map[session.Key]uint8),
 		capFreed:        make(chan struct{}, 1),
 		defaultPriority: cc.defaultPriority,
@@ -366,7 +350,6 @@ func NewCluster(cfg Config, chips int, opts ...ClusterOption) (*Cluster, error) 
 		if cc.timing != nil {
 			sys.SetTimingBackend(cc.timing)
 		}
-		c.chipNodes[i] = sys.dev.Graph().Nodes()
 		if n := spec.Config.Cores(); n > c.maxCores {
 			c.maxCores = n
 		}
@@ -394,9 +377,6 @@ func NewCluster(cfg Config, chips int, opts ...ClusterOption) (*Cluster, error) 
 		engineOpts = append(engineOpts, place.WithWorkers(cc.mapperWorkers))
 	}
 	engineOpts = append(engineOpts, place.WithClock(cc.clock))
-	if cc.negTTL != nil {
-		engineOpts = append(engineOpts, place.WithNegativeTTL(*cc.negTTL))
-	}
 	engine, err := place.New(engineChips, engineOpts...)
 	if err != nil {
 		return nil, err
@@ -443,9 +423,7 @@ func NewCluster(cfg Config, chips int, opts ...ClusterOption) (*Cluster, error) 
 			// instead of failing it on an "idle" cluster, and idle warm
 			// sessions are evicted on demand when a dispatcher job cannot
 			// place — including create-stage failures like memory
-			// exhaustion that ranking cannot see. They also share the
-			// tenant quota — session jobs reserve dispatcher slots
-			// (ReserveSlot), so one counter guards both paths atomically.
+			// exhaustion that ranking cannot see.
 			ExternalBusy: c.sessionBusy,
 			Reclaim:      c.sessionReclaim,
 			Clock:        cc.clock,
@@ -462,7 +440,6 @@ func NewCluster(cfg Config, chips int, opts ...ClusterOption) (*Cluster, error) 
 		})
 	}
 	c.disp = disp
-	c.initStageHists()
 	c.reg.AddCollector(c.collect)
 	// A fleet-shared tracker is collected once at the fleet level;
 	// registering it per shard would duplicate every vnpu_slo_* series in
@@ -472,14 +449,13 @@ func NewCluster(cfg Config, chips int, opts ...ClusterOption) (*Cluster, error) 
 	}
 	if cc.sessionReuse {
 		pool, err := session.New[*sessRes, *sessTask](session.Config[*sessRes]{
-			Destroy:         c.destroySession,
-			Cores:           func(r *sessRes) int { return r.v.NumCores() },
-			Priority:        func(r *sessRes) int { return r.class },
-			IsCapacity:      capacityCurable,
-			MaxIdle:         cc.sessionIdle,
-			TTL:             cc.sessionTTL,
-			MicroQueueDepth: cc.sessionMicro,
-			Clock:           cc.clock,
+			Destroy:    func(chip int, r *sessRes) error { return c.destroy(chip, r.v, r.class) },
+			Cores:      func(r *sessRes) int { return r.v.NumCores() },
+			Priority:   func(r *sessRes) int { return r.class },
+			IsCapacity: capacityCurable,
+			MaxIdle:    cc.sessionIdle,
+			TTL:        cc.sessionTTL,
+			Clock:      cc.clock,
 			OnFree: func() {
 				disp.Kick()
 				c.pokeSessions()
@@ -956,10 +932,9 @@ type SchedStats = metrics.SchedStats
 func (c *Cluster) SchedStats() SchedStats { return c.Snapshot().Sched }
 
 // Stats returns a snapshot of the cluster's serving counters, covering
-// both serving paths: dispatcher jobs and session-pool jobs alike count
-// toward Submitted/Completed/Failed and the per-chip totals. It reads
-// through Snapshot (see telemetry.go), the single merge point for both
-// paths' counters.
+// both serving paths: one-shot and session jobs alike are admitted and
+// finished by the scheduler core, which owns Submitted/Completed/Failed
+// and the per-chip totals. It reads through Snapshot (see telemetry.go).
 func (c *Cluster) Stats() ClusterStats { return c.Snapshot().Cluster }
 
 // PlacementStats returns a snapshot of the placement engine's counters:
@@ -976,10 +951,7 @@ func (c *Cluster) PlacementStats() PlacementStats { return c.Snapshot().Placemen
 // comparable across shards of one fleet, not across differently-sized
 // clusters.
 func (c *Cluster) Pressure() float64 {
-	c.sessMu.Lock()
-	sess := c.sessInflight
-	c.sessMu.Unlock()
-	p := float64(c.disp.Pending()+sess) / float64(c.queueDepth)
+	p := float64(c.disp.Pending()) / float64(c.queueDepth)
 	total, held := 0, 0
 	for _, sys := range c.systems {
 		cores := sys.Config().Cores()
@@ -994,12 +966,7 @@ func (c *Cluster) Pressure() float64 {
 
 // quiesced reports that the cluster owns no admitted-but-unfinished work
 // on either serving path — the drain condition a fleet waits for.
-func (c *Cluster) quiesced() bool {
-	c.sessMu.Lock()
-	sess := c.sessInflight
-	c.sessMu.Unlock()
-	return sess == 0 && c.disp.Pending() == 0
-}
+func (c *Cluster) quiesced() bool { return c.disp.Pending() == 0 }
 
 // flushSessions evicts every idle resident session, returning capacity
 // to the chips — a drained shard must not keep warm leases whose keys
@@ -1152,15 +1119,22 @@ func (e *clusterExec) ObserveHit(job Job, cost float64) {
 // view is corrupt, which no other candidate chip cures.
 var errMirrorDrift = errors.New("vnpu: placement mirror disagrees with the hypervisor")
 
+// oneShot is the residency class of a vNPU that lives for one job. A
+// vNPU's class is the one thing create and destroy vary on: it selects
+// how the cores are booked in the engine's free-set mirror — Commit and
+// Release for oneShot, Reserve and Evict under the session's scheduling
+// class for a resident one.
+const oneShot = -1
+
 // createPlaced creates a vNPU for the request on the chip from the
 // engine's resolved mapping (the hypervisor never re-runs the topology
 // mapper on the serving paths) and books its cores out of the engine's
-// free-set mirror with book — Commit for a one-shot, Reserve for a
-// session. The three steps run under the chip's placeMu, so a concurrent
-// create on the chip resolves against a mirror that already shows this
-// one; otherwise it would be handed the same nodes and lose with the
-// hypervisor's stale-placement ErrNoCapacity while the chip has room.
-func (c *Cluster) createPlaced(chip int, req Request, book func(nodes []topo.NodeID) error) (*VirtualNPU, error) {
+// free-set mirror. The three steps run under the chip's placeMu, so a
+// concurrent create on the chip resolves against a mirror that already
+// shows this one; otherwise it would be handed the same nodes and lose
+// with the hypervisor's stale-placement ErrNoCapacity while the chip has
+// room.
+func (c *Cluster) createPlaced(chip int, req Request, class int) (*VirtualNPU, error) {
 	c.placeMu[chip].Lock()
 	defer c.placeMu[chip].Unlock()
 	mapRes, err := c.engine.Resolve(chip, placeRequest(req))
@@ -1171,7 +1145,12 @@ func (c *Cluster) createPlaced(chip int, req Request, book func(nodes []topo.Nod
 	if err != nil {
 		return nil, err
 	}
-	if err := book(v.Nodes()); err != nil {
+	if class == oneShot {
+		err = c.engine.Commit(chip, v.Nodes())
+	} else {
+		err = c.engine.Reserve(chip, v.Nodes(), class)
+	}
+	if err != nil {
 		// Undo the create rather than serve from a corrupted view.
 		_ = c.systems[chip].Destroy(v)
 		return nil, fmt.Errorf("%w: %v", errMirrorDrift, err)
@@ -1179,66 +1158,82 @@ func (c *Cluster) createPlaced(chip int, req Request, book func(nodes []topo.Nod
 	return v, nil
 }
 
-// Place creates the job's vNPU on the chosen chip, reusing the engine's
-// resolved mapping so the hypervisor never re-runs the topology mapper on
-// the dispatch path; the engine's free-set mirror is committed in the
-// same step. The request's memory was already sized at Submit.
-func (e *clusterExec) Place(chip int, job Job) (*VirtualNPU, error) {
-	v, err := (*Cluster)(e).createPlaced(chip, job.request(), func(nodes []topo.NodeID) error {
-		return e.engine.Commit(chip, nodes)
-	})
+// create is the one way a serving vNPU comes to exist — clusterExec.Place
+// for a one-shot job, the session pool's cold path for a resident one:
+// place it from the engine's mapping, book its cores, and open its
+// private timing domain, so every execution overlaps disjoint neighbors
+// and none resets chip-global timing state. The hypervisor hands out
+// disjoint core sets, so a domain overlap failure means the placement
+// view is corrupt — undo the create rather than execute on shared timing.
+func (c *Cluster) create(chip int, req Request, class int) (*VirtualNPU, error) {
+	v, err := c.createPlaced(chip, req, class)
 	if err != nil {
 		return nil, err
 	}
-	// Give the vNPU its private timing domain so Execute can overlap it
-	// with disjoint neighbors. The hypervisor hands out disjoint core
-	// sets, so an overlap failure here means the placement view is
-	// corrupt — undo the create rather than execute on shared timing.
 	if err := v.OpenDomain(); err != nil {
-		nodes := append([]topo.NodeID(nil), v.Nodes()...)
-		_ = e.systems[chip].Destroy(v)
-		_ = e.engine.Release(chip, nodes)
+		_ = c.destroy(chip, v, class)
 		return nil, err
 	}
 	return v, nil
 }
 
-// Execute runs the job on its placed vNPU. The program comes from the
-// cluster's compile-once cache — admission sizing already compiled the
-// shape, so repeat one-shot traffic runs a cached program rebased to its
-// vNPU instead of recompiling per job. The vNPU's private timing domain
-// is reset first (ResetForRun): each job gets a fresh cycle timeline
-// without disturbing neighbors executing concurrently on the same chip.
-// The region claim admits the execution — normally immediately, since
-// placed vNPUs hold disjoint cores. The job's context cancels mid-run:
-// the simulator polls it between timeline events.
-func (e *clusterExec) Execute(ctx context.Context, chip int, v *VirtualNPU, job Job) (JobReport, error) {
+// destroy undoes create: the vNPU's cores and memory return to the chip,
+// and the freed cores to the engine's mirror under the class they were
+// booked with.
+func (c *Cluster) destroy(chip int, v *VirtualNPU, class int) error {
+	nodes := append([]topo.NodeID(nil), v.Nodes()...)
+	if err := c.systems[chip].Destroy(v); err != nil {
+		return err
+	}
+	if class == oneShot {
+		return c.engine.Release(chip, nodes)
+	}
+	return c.engine.Evict(chip, nodes, class)
+}
+
+// execute is the one execution of a job on a vNPU the caller holds — the
+// dispatcher's chip worker through clusterExec.Execute, the session run
+// loop directly. A job canceled, or past its scheduling deadline, by the
+// time it gets here fails without running. The program is *prog when the
+// caller has one (a resident session keeps its own across jobs);
+// otherwise it comes from the compile-once cache and is stored there —
+// resolved before the region claim, so a compile never holds cores
+// another job might be waiting on. The claim admits the run (normally at
+// once: placed vNPUs hold disjoint cores) and the vNPU's private timing
+// domain is reset, so each job gets a fresh cycle timeline without
+// disturbing its neighbors. The simulator polls ctx between timeline
+// events, so cancellation also lands mid-run.
+//
+// The returned duration is the claim-to-release time — what the
+// occupancy integral and the "exec" stage histogram mean by execution on
+// both paths. Waiting for a conflicting region is not part of it, or
+// per-chip busy% could exceed 100%; it is read before the release, or
+// post-release descheduling would bleed into it.
+func (c *Cluster) execute(ctx context.Context, chip int, v *VirtualNPU, prog **CompiledModel, job *Job) (JobReport, time.Duration, error) {
 	if err := ctx.Err(); err != nil {
-		return JobReport{}, err
+		return JobReport{}, 0, fmt.Errorf("vnpu: job canceled before execution: %w", err)
 	}
-	sys := e.systems[chip]
-	sig := job.modelSig
-	if sig == 0 {
-		// Defensive: only Submit-built jobs carry the fingerprint.
-		sig = modelSignature(job.Model)
+	if !job.Deadline.IsZero() && c.clk.Now().After(job.Deadline) {
+		return JobReport{}, 0, fmt.Errorf("vnpu: deadline passed before execution: %w", ErrDeadlineExceeded)
 	}
-	// Resolve the program before claiming the region: a cache hit costs
-	// a map lookup (plus a rebase copy), and a miss compiles without
-	// holding cores another job might be waiting on.
-	cm, err := (*Cluster)(e).compileFor(chip, v, job.Model, sig)
-	if err != nil {
-		return JobReport{}, err
+	if *prog == nil {
+		cm, err := c.compileFor(chip, v, job.Model, job.modelSig)
+		if err != nil {
+			return JobReport{}, 0, err
+		}
+		*prog = cm
 	}
-	claim := (*Cluster)(e).acquireRegion(chip, v)
-	if e.testExecHook != nil {
-		e.testExecHook(chip)
+	claim := c.acquireRegion(chip, v)
+	start := c.clk.Now()
+	if c.testExecHook != nil {
+		c.testExecHook(chip)
 	}
-	start := e.clk.Now()
 	v.ResetForRun()
-	rep, err := sys.RunCompiled(ctx, v, cm, job.Iterations)
-	(*Cluster)(e).releaseRegion(chip, claim, v.NumCores(), e.clk.Since(start))
+	rep, err := c.systems[chip].RunCompiled(ctx, v, *prog, job.Iterations)
+	busy := c.clk.Since(start)
+	c.releaseRegion(chip, claim, v.NumCores(), busy)
 	if err != nil {
-		return JobReport{}, err
+		return JobReport{}, busy, err
 	}
 	return JobReport{
 		Report:   rep,
@@ -1247,17 +1242,26 @@ func (e *clusterExec) Execute(ctx context.Context, chip int, v *VirtualNPU, job 
 		Model:    job.Model.Name,
 		MapCost:  v.MapCost(),
 		Priority: job.Priority,
-	}, nil
+	}, busy, nil
 }
 
-// Release destroys the job's vNPU, returning its cores and memory to the
-// chip and the freed cores to the engine's mirror.
+// Place creates the job's vNPU on the chosen chip. The request's memory
+// was already sized at Submit.
+func (e *clusterExec) Place(chip int, job Job) (*VirtualNPU, error) {
+	return (*Cluster)(e).create(chip, job.request(), oneShot)
+}
+
+// Execute runs the job on its placed vNPU. Admission sizing already
+// compiled the shape, so repeat one-shot traffic runs a cached program
+// rebased to its vNPU instead of recompiling per job.
+func (e *clusterExec) Execute(ctx context.Context, chip int, v *VirtualNPU, job Job) (JobReport, time.Duration, error) {
+	var prog *CompiledModel
+	return (*Cluster)(e).execute(ctx, chip, v, &prog, &job)
+}
+
+// Release destroys the job's vNPU.
 func (e *clusterExec) Release(chip int, v *VirtualNPU) error {
-	nodes := append([]topo.NodeID(nil), v.Nodes()...)
-	if err := e.systems[chip].Destroy(v); err != nil {
-		return err
-	}
-	if err := e.engine.Release(chip, nodes); err != nil {
+	if err := (*Cluster)(e).destroy(chip, v, oneShot); err != nil {
 		return err
 	}
 	// Session jobs parked on capacity watch dispatcher releases too.

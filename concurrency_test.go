@@ -126,6 +126,35 @@ func TestOverlappedExecutionCycleIdentical(t *testing.T) {
 	})
 }
 
+// checkDrained asserts what a closed cluster's accounting must show
+// whatever traffic it served: every admitted job booked exactly one
+// outcome, in total and per class, the scheduler core owns no unfinished
+// work, and every core is back — free in the hypervisor and held by no
+// session in the placement engine's mirror.
+func checkDrained(t *testing.T, c *Cluster) {
+	t.Helper()
+	snap := c.Snapshot()
+	if s := snap.Cluster; s.Submitted != s.Completed+s.Failed {
+		t.Errorf("submitted %d != completed %d + failed %d", s.Submitted, s.Completed, s.Failed)
+	}
+	for i, cl := range snap.Sched.Classes {
+		if cl.Submitted != cl.Completed+cl.Failed {
+			t.Errorf("class %d: submitted %d != completed %d + failed %d", i, cl.Submitted, cl.Completed, cl.Failed)
+		}
+	}
+	if n := c.disp.Pending(); n != 0 {
+		t.Errorf("%d jobs still pending after Close", n)
+	}
+	for chip, sys := range c.systems {
+		if free, cores := sys.FreeCores(), sys.Config().Cores(); free != cores {
+			t.Errorf("chip %d: %d of %d cores free after Close", chip, free, cores)
+		}
+		if held := c.engine.HeldCount(chip); held != 0 {
+			t.Errorf("chip %d: engine still books %d session-held cores", chip, held)
+		}
+	}
+}
+
 // TestConcurrentChurnBothPaths hammers both execution paths with enough
 // in-flight jobs to keep 3+ vNPUs executing per chip, mixing one-shot
 // and session traffic — the -race workout for the timing-domain
@@ -182,6 +211,10 @@ func TestConcurrentChurnBothPaths(t *testing.T) {
 			t.Fatalf("chip %d: busy %v exceeds wall %v — occupancy integral double-counts", i, busy, wall)
 		}
 	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkDrained(t, c)
 }
 
 // TestRegionClaimsSerializeOverlap pins the safety net: claims over

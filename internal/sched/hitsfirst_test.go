@@ -58,14 +58,14 @@ func (e *asyncExec) RankAsync(j *asyncJob) <-chan struct{} {
 
 func (e *asyncExec) Place(chip int, j *asyncJob) (int, error) { return chip, nil }
 
-func (e *asyncExec) Execute(ctx context.Context, chip, pl int, j *asyncJob) (string, error) {
+func (e *asyncExec) Execute(ctx context.Context, chip, pl int, j *asyncJob) (string, time.Duration, error) {
 	if j.block != nil {
 		<-j.block
 	}
 	e.mu.Lock()
 	e.order = append(e.order, j.name)
 	e.mu.Unlock()
-	return j.name, nil
+	return j.name, 0, nil
 }
 
 func (e *asyncExec) Release(chip, pl int) error { return nil }
@@ -108,7 +108,7 @@ func TestHitsFirstDispatchDoesNotBlockOnMapping(t *testing.T) {
 
 	// A session-path ticket younger than the map-parked job must still
 	// wait its turn: hits-first does not let external work overtake it.
-	seq := d.Ticket()
+	seq := admitSeq(t, d, 0)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	if err := d.WaitTurn(ctx, seq, 0, time.Time{}); err == nil {
 		t.Fatal("external ticket passed a map-parked older job")
@@ -123,7 +123,7 @@ func TestHitsFirstDispatchDoesNotBlockOnMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With the map-parked job placed, the external ticket passes.
-	if err := d.WaitTurn(context.Background(), d.Ticket(), 0, time.Time{}); err != nil {
+	if err := d.WaitTurn(context.Background(), admitSeq(t, d, 0), 0, time.Time{}); err != nil {
 		t.Fatalf("WaitTurn after drain: %v", err)
 	}
 

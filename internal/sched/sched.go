@@ -20,12 +20,15 @@
 //	Submit ──quota+queue check──▶ class queue ──dispatcher──▶ Place(best chip)
 //	        ──worker[chip]──▶ Execute ──▶ Release ──▶ Handle resolves
 //
-// Ordering is owned by one scheduler core for BOTH serving paths: the
-// dispatcher's own queue pops highest-class first (EDF inside a class,
-// admission order last), and external paths — the cluster's session
-// pool — draw sequence tickets from the same counter and block in
-// WaitTurn until no older queued job of equal-or-higher class remains,
-// so warm-hit traffic can no longer outrun queued one-shot work.
+// Admission and completion are owned by one scheduler core for BOTH
+// serving paths. Submit admits a job into the dispatcher's queue; Admit
+// admits one that an external loop serves (the cluster's session pool)
+// under the same checks, counters and sequence counter. The queue pops
+// highest-class first (EDF inside a class, admission order last), and an
+// externally served job blocks in WaitTurn until no older queued job of
+// equal-or-higher class remains, so warm-hit traffic cannot outrun queued
+// one-shot work. Either way the job ends in Finish, which books the
+// outcome before it resolves the handle.
 //
 // Queued work is preemptible: a higher-class arrival displaces a job
 // parked on backpressure back into the queue (it keeps its ticket, not
@@ -108,8 +111,9 @@ type Executor[Job, Placement, Result any] interface {
 	Rank(job Job) ([]Candidate, error)
 	// Place claims resources for job on chip (e.g. creates the vNPU).
 	Place(chip int, job Job) (Placement, error)
-	// Execute runs a placed job to completion on its chip.
-	Execute(ctx context.Context, chip int, pl Placement, job Job) (Result, error)
+	// Execute runs a placed job to completion on its chip, reporting how
+	// long it held the chip's resources (the "exec" stage latency).
+	Execute(ctx context.Context, chip int, pl Placement, job Job) (Result, time.Duration, error)
 	// Release frees the placement's resources (e.g. destroys the vNPU).
 	Release(chip int, pl Placement) error
 }
@@ -129,9 +133,9 @@ type Config struct {
 	// 0 selects queue.DefaultAgingRounds; < 0 disables aging.
 	AgingRounds int
 	// TenantQuota caps each tenant's in-flight jobs (queued + running),
-	// including slots reserved by external serving paths via ReserveSlot.
-	// <= 0 means unlimited. A canceled job's slot is reclaimed when the
-	// job drains from the queue, not at cancellation time.
+	// whether admitted by Submit or by Admit. <= 0 means unlimited. A
+	// canceled job's slot is reclaimed when the job drains from the queue,
+	// not at cancellation time.
 	TenantQuota int
 	// ExternalBusy, when non-nil, reports whether work is in flight on an
 	// external path sharing the chips (e.g. busy resident sessions). An
@@ -166,8 +170,7 @@ type Config struct {
 	// historical time-multiplexing model). With more slots, an executor
 	// that supports concurrent execution of spatially disjoint placements
 	// (per-vNPU timing domains) overlaps jobs on one chip; per-chip
-	// execution order is then no longer strict, and worker-measured
-	// ChipBusy may exceed wall-clock time.
+	// execution order is then no longer strict.
 	ChipSlots int
 }
 
@@ -189,13 +192,6 @@ type Stats struct {
 	Failed uint64
 	// ChipJobs counts jobs executed per chip.
 	ChipJobs []int
-	// ChipBusy is the cumulative worker-measured execution time per chip.
-	// With one execution slot per chip it yields per-chip utilization
-	// over a load generator's run; with several slots overlapped jobs
-	// each contribute their full duration, so the sum may exceed
-	// wall-clock time (embedders wanting occupancy should integrate per
-	// held core instead, as the cluster does).
-	ChipBusy []time.Duration
 	// HitsFirst counts jobs started through the hits-first fast path: a
 	// cached placement within the executor's regret bound, claimed
 	// without waiting for the full rank.
@@ -208,21 +204,23 @@ type Stats struct {
 	// steal re-books them on the destination), so per-shard accounting
 	// still balances.
 	Stolen uint64
-	// PerClass breaks the serving counters down by priority class,
-	// covering BOTH serving paths (the session pool reports into the
-	// same accounting via ExternalSubmitted/ExternalDone), with p50/p99
-	// queueing-latency percentiles over a bounded recent window.
+	// PerClass breaks the serving counters down by priority class, with
+	// p50/p99 queueing-latency percentiles over a bounded recent window.
 	PerClass []metrics.SchedClassStats
 }
 
-// Handle tracks one submitted job. Dispatcher.Submit returns handles it
-// resolves itself; NewHandle creates one resolved by the caller (the
-// session-pool serving path), so both paths hand callers the same type.
+// Handle tracks one admitted job. Submit returns handles the dispatcher
+// drives end to end; Admit returns one whose serving loop calls
+// MarkStarted when the job reaches its chip and Dispatcher.Finish exactly
+// once when it completes, so both paths hand callers the same type.
 type Handle[Result any] struct {
 	tenant    string
 	class     int
 	clk       sim.Clock
 	submitted time.Time
+	// external marks a handle admitted by Admit: it counts against the
+	// dispatcher's external in-flight bound until Finish.
+	external bool
 
 	started chan struct{} // closed when the job is placed on a chip
 	done    chan struct{} // closed when the job finishes
@@ -235,17 +233,7 @@ type Handle[Result any] struct {
 	err      error
 }
 
-// NewHandle creates a handle managed by the caller instead of a
-// dispatcher: the caller must call MarkStarted when the job reaches its
-// chip (optional) and Finish exactly once when it completes. The session
-// pool uses it so warm-path jobs that never enter the dispatcher queue
-// still resolve through the ordinary Handle API. The handle's timestamps
-// (submit, placement, finish) are read from clk; nil selects the wall
-// clock.
-func NewHandle[Result any](clk sim.Clock, tenant string, class int) *Handle[Result] {
-	if clk == nil {
-		clk = sim.Wall()
-	}
+func newHandle[Result any](clk sim.Clock, tenant string, class int) *Handle[Result] {
 	return &Handle[Result]{
 		tenant:    tenant,
 		class:     class,
@@ -265,8 +253,9 @@ func (h *Handle[Result]) MarkStarted(chip int) {
 	close(h.started)
 }
 
-// Finish resolves the handle with the job's outcome. It must be called
-// exactly once.
+// Finish resolves the handle with the job's outcome and nothing else. It
+// must be called exactly once: by Dispatcher.Finish for an admitted job,
+// directly only for a job Steal un-booked.
 func (h *Handle[Result]) Finish(res Result, err error) {
 	h.res = res
 	h.err = err
@@ -310,17 +299,6 @@ func (h *Handle[Result]) Chip() int {
 		return h.chip
 	default:
 		return -1
-	}
-}
-
-// Sojourn reports the job's end-to-end age: time from submission to now
-// (or to completion, once finished), on the handle's clock.
-func (h *Handle[Result]) Sojourn() time.Duration {
-	select {
-	case <-h.done:
-		return h.finished.Sub(h.submitted)
-	default:
-		return h.clk.Since(h.submitted)
 	}
 }
 
@@ -373,9 +351,9 @@ type turnWaiter struct {
 
 // classState is one priority class's counters and per-stage latency
 // histograms: queue wait (submit → placed), execution, and end-to-end
-// sojourn. Histograms come from Config.StageHist when set, so both
-// serving paths and the embedder's registry share one series per
-// (stage, class).
+// sojourn, all booked by Finish. Histograms come from Config.StageHist
+// when set, so the embedder's registry holds one series per (stage,
+// class).
 type classState struct {
 	stats metrics.SchedClassStats
 	waits *obs.Histogram // stage "queue"
@@ -400,6 +378,7 @@ type Dispatcher[Job, Placement, Result any] struct {
 	mu       sync.Mutex
 	closed   bool
 	inflight int // placed but not yet released
+	external int // admitted by Admit, not yet finished
 	tenants  map[string]int
 	stats    Stats
 	q        *queue.Queue[*task[Job, Result]]
@@ -469,7 +448,6 @@ func New[Job, Placement, Result any](exec Executor[Job, Placement, Result], cfg 
 		d.classes[i].e2e = hist("e2e", i)
 	}
 	d.stats.ChipJobs = make([]int, cfg.Chips)
-	d.stats.ChipBusy = make([]time.Duration, cfg.Chips)
 	slots := cfg.ChipSlots
 	if slots <= 0 {
 		slots = 1
@@ -509,6 +487,35 @@ func (d *Dispatcher[Job, Placement, Result]) clampClass(class int) int {
 	return class
 }
 
+// admitLocked is the one admission: closed, deadline, quota and depth
+// checks, then — under the same hold of d.mu — the tenant's quota slot,
+// the global and per-class Submitted counts and the sequence ticket.
+// held is the caller's current use of the QueueDepth bound.
+func (d *Dispatcher[Job, Placement, Result]) admitLocked(tenant string, class int, deadline time.Time, held int) (*Handle[Result], uint64, error) {
+	if d.closed {
+		return nil, 0, fmt.Errorf("sched: dispatcher closed: %w", core.ErrDestroyed)
+	}
+	if !deadline.IsZero() && d.now().After(deadline) {
+		d.classes[class].stats.DeadlineMisses++
+		return nil, 0, fmt.Errorf("sched: job deadline already passed at submit: %w", core.ErrDeadlineExceeded)
+	}
+	if n := d.tenants[tenant]; d.cfg.TenantQuota > 0 && n >= d.cfg.TenantQuota {
+		d.stats.RejectedQuota++
+		return nil, 0, fmt.Errorf("sched: tenant %q has %d jobs in flight (quota %d): %w",
+			tenant, n, d.cfg.TenantQuota, core.ErrQuotaExceeded)
+	}
+	if held >= d.cfg.QueueDepth {
+		d.stats.RejectedQueueFull++
+		return nil, 0, fmt.Errorf("sched: admission bound of %d jobs reached: %w", d.cfg.QueueDepth, core.ErrQueueFull)
+	}
+	d.tenants[tenant]++
+	d.stats.Submitted++
+	d.classes[class].stats.Submitted++
+	seq := d.seq
+	d.seq++
+	return newHandle[Result](d.cfg.Clock, tenant, class), seq, nil
+}
+
 // Submit applies admission control and enqueues the job under the given
 // priority class and optional scheduling deadline (zero = none). It
 // returns immediately with a Handle, or with an error wrapping
@@ -518,37 +525,14 @@ func (d *Dispatcher[Job, Placement, Result]) Submit(ctx context.Context, tenant 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return nil, fmt.Errorf("sched: dispatcher closed: %w", core.ErrDestroyed)
-	}
 	class = d.clampClass(class)
-	if !deadline.IsZero() && d.now().After(deadline) {
-		d.classes[class].stats.DeadlineMisses++
+	d.mu.Lock()
+	h, seq, err := d.admitLocked(tenant, class, deadline, d.q.Len())
+	if err != nil {
 		d.mu.Unlock()
-		return nil, fmt.Errorf("sched: job deadline already passed at submit: %w", core.ErrDeadlineExceeded)
+		return nil, err
 	}
-	if d.cfg.TenantQuota > 0 && d.tenants[tenant] >= d.cfg.TenantQuota {
-		d.stats.RejectedQuota++
-		n := d.tenants[tenant]
-		d.mu.Unlock()
-		return nil, fmt.Errorf("sched: tenant %q has %d jobs in flight (quota %d): %w",
-			tenant, n, d.cfg.TenantQuota, core.ErrQuotaExceeded)
-	}
-	if d.q.Len() >= d.cfg.QueueDepth {
-		d.stats.RejectedQueueFull++
-		d.mu.Unlock()
-		return nil, fmt.Errorf("sched: queue of %d jobs is full: %w", d.cfg.QueueDepth, core.ErrQueueFull)
-	}
-	h := NewHandle[Result](d.cfg.Clock, tenant, class)
-	t := &task[Job, Result]{ctx: ctx, job: job, deadline: deadline, h: h}
-	seq := d.seq
-	d.seq++
-	it := d.q.Push(t, class, deadline, seq)
-	d.tenants[tenant]++
-	d.stats.Submitted++
-	d.classes[class].stats.Submitted++
+	it := d.q.Push(&task[Job, Result]{ctx: ctx, job: job, deadline: deadline, h: h}, class, deadline, seq)
 	// An arrival that may order before the job currently parked on
 	// backpressure — higher class, or equal class with a better deadline
 	// — pokes its placement loop; yield() re-checks under the full
@@ -568,6 +552,25 @@ func (d *Dispatcher[Job, Placement, Result]) Submit(ctx context.Context, tenant 
 		d.observer(job, obs.StageAdmitted, "", -1)
 	}
 	return h, nil
+}
+
+// Admit applies the same admission control to a job an external loop
+// will serve (the session pool): no queue entry, but the same typed
+// rejections, quota slot, Submitted counts and sequence counter as
+// Submit, taken under one lock. QueueDepth bounds the externally served
+// jobs in flight separately from the queue. The caller passes seq to
+// WaitTurn before starting the job and must end it with Finish.
+func (d *Dispatcher[Job, Placement, Result]) Admit(tenant string, class int, deadline time.Time) (*Handle[Result], uint64, error) {
+	class = d.clampClass(class)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	h, seq, err := d.admitLocked(tenant, class, deadline, d.external)
+	if err != nil {
+		return nil, 0, err
+	}
+	h.external = true
+	d.external++
+	return h, seq, nil
 }
 
 // Close stops intake, waits for every admitted job to finish, and shuts
@@ -617,14 +620,14 @@ func (d *Dispatcher[Job, Placement, Result]) QueueLen() int {
 	return d.q.Len()
 }
 
-// Pending reports every job the dispatcher still owns: queued, parked on
-// a mapping edge, parked on capacity, or placed but not yet released. A
-// draining shard is quiescent when Pending reaches zero (session-path
-// work is tracked separately by the cluster).
+// Pending reports every admitted job that has not finished: queued,
+// parked on a mapping edge, parked on capacity, placed but not yet
+// released, or served externally. A draining shard is quiescent when
+// Pending reaches zero.
 func (d *Dispatcher[Job, Placement, Result]) Pending() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := d.q.Len() + len(d.mapWaits) + d.inflight
+	n := d.q.Len() + len(d.mapWaits) + d.inflight + d.external
 	if d.parked != nil {
 		n++
 	}
@@ -706,33 +709,6 @@ func (d *Dispatcher[Job, Placement, Result]) Steal(maxClass, max int) []Stolen[J
 	return out
 }
 
-// ReserveSlot atomically checks the tenant quota and claims one
-// in-flight slot for a job served on an external path (the session
-// pool). The dispatcher's own Submit and external reservations share one
-// counter under one lock, so the quota cannot be oversubscribed by
-// racing the two paths. Release the slot with ReleaseSlot when the
-// external job finishes.
-func (d *Dispatcher[Job, Placement, Result]) ReserveSlot(tenant string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.cfg.TenantQuota > 0 && d.tenants[tenant] >= d.cfg.TenantQuota {
-		d.stats.RejectedQuota++
-		return fmt.Errorf("sched: tenant %q has %d jobs in flight (quota %d): %w",
-			tenant, d.tenants[tenant], d.cfg.TenantQuota, core.ErrQuotaExceeded)
-	}
-	d.tenants[tenant]++
-	return nil
-}
-
-// ReleaseSlot returns a slot claimed with ReserveSlot.
-func (d *Dispatcher[Job, Placement, Result]) ReleaseSlot(tenant string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.tenants[tenant]--; d.tenants[tenant] <= 0 {
-		delete(d.tenants, tenant)
-	}
-}
-
 // SetPrewarm installs a speculation hook: each time the dispatcher
 // commits to placing a job, the hook is called with the next few queued
 // jobs so the executor can warm its placement caches on spare cores
@@ -757,18 +733,7 @@ func (d *Dispatcher[Job, Placement, Result]) SetObserver(fn func(job Job, stage 
 	d.observer = fn
 }
 
-// Ticket issues an admission sequence ticket from the counter shared
-// with Submit. External serving paths draw one per job at admission time
-// and pass it to WaitTurn, so "older" is well defined across both paths.
-func (d *Dispatcher[Job, Placement, Result]) Ticket() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	seq := d.seq
-	d.seq++
-	return seq
-}
-
-// WaitTurn blocks an external job (holding a Ticket) until the
+// WaitTurn blocks an external job (holding the seq Admit issued) until the
 // dispatcher's queue holds no older job of equal-or-higher effective
 // class — including the job currently parked awaiting capacity. This is
 // the admission-order fairness gate: a warm session hit must not overtake
@@ -841,42 +806,6 @@ func (d *Dispatcher[Job, Placement, Result]) checkTurnsLocked() {
 	}
 }
 
-// ExternalSubmitted books an external-path admission into the per-class
-// accounting (the session pool calls it next to ReserveSlot).
-func (d *Dispatcher[Job, Placement, Result]) ExternalSubmitted(class int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.classes[d.clampClass(class)].stats.Submitted++
-}
-
-// ExternalDeadlineMiss books an external-path submission rejected
-// because its deadline had already passed — the analogue of Submit's own
-// synchronous rejection, so per-class miss counts stay comparable
-// across both paths.
-func (d *Dispatcher[Job, Placement, Result]) ExternalDeadlineMiss(class int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.classes[d.clampClass(class)].stats.DeadlineMisses++
-}
-
-// ExternalDone books an external-path completion: outcome counters, the
-// deadline-miss counter, and — on success — a queueing-latency sample,
-// so per-class percentiles cover both serving paths.
-func (d *Dispatcher[Job, Placement, Result]) ExternalDone(class int, wait time.Duration, err error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	cs := &d.classes[d.clampClass(class)]
-	if err == nil {
-		cs.stats.Completed++
-		cs.waits.Observe(wait)
-		return
-	}
-	cs.stats.Failed++
-	if errors.Is(err, core.ErrDeadlineExceeded) {
-		cs.stats.DeadlineMisses++
-	}
-}
-
 // Kick signals the dispatcher that capacity was freed outside its own
 // Release path — a resident session went idle or was evicted. A job
 // parked on backpressure rescores its placement. Kick never blocks.
@@ -893,7 +822,6 @@ func (d *Dispatcher[Job, Placement, Result]) Stats() Stats {
 	defer d.mu.Unlock()
 	s := d.stats
 	s.ChipJobs = append([]int(nil), d.stats.ChipJobs...)
-	s.ChipBusy = append([]time.Duration(nil), d.stats.ChipBusy...)
 	s.PerClass = make([]metrics.SchedClassStats, len(d.classes))
 	promos := d.q.Promotions()
 	for i := range d.classes {
@@ -953,7 +881,7 @@ func (d *Dispatcher[Job, Placement, Result]) dispatch() {
 		t := it.Job
 		if err := t.ctx.Err(); err != nil {
 			d.unpark()
-			d.finish(t, *new(Result), fmt.Errorf("sched: job canceled while queued: %w", err))
+			d.fail(t, fmt.Errorf("sched: job canceled while queued: %w", err))
 			continue
 		}
 		// Map-parked jobs bypass PopExpired; sweep their deadline here.
@@ -998,7 +926,7 @@ func (d *Dispatcher[Job, Placement, Result]) unpark() {
 // finishMiss fails a job whose scheduling deadline passed before
 // placement.
 func (d *Dispatcher[Job, Placement, Result]) finishMiss(t *task[Job, Result]) {
-	d.finish(t, *new(Result), fmt.Errorf("sched: deadline passed after %s queued: %w",
+	d.fail(t, fmt.Errorf("sched: deadline passed after %s queued: %w",
 		d.cfg.Clock.Since(t.h.submitted).Round(time.Microsecond), core.ErrDeadlineExceeded))
 }
 
@@ -1118,7 +1046,6 @@ func (d *Dispatcher[Job, Placement, Result]) claimFrom(cands []Candidate, t *tas
 		}
 		d.mu.Unlock()
 		t.h.MarkStarted(chip)
-		d.recordWait(t.h)
 		if d.observer != nil {
 			d.observer(t.job, obs.StagePlaced, detail, chip)
 		}
@@ -1149,7 +1076,7 @@ func (d *Dispatcher[Job, Placement, Result]) deliver(chip int, t *task[Job, Resu
 		if relErr != nil {
 			err = fmt.Errorf("%w (release: %v)", err, relErr)
 		}
-		d.finish(t, *new(Result), err)
+		d.fail(t, err)
 	}
 }
 
@@ -1337,7 +1264,7 @@ func (d *Dispatcher[Job, Placement, Result]) place(t *task[Job, Result], it *que
 			default:
 			}
 			d.unpark()
-			d.finish(t, *new(Result), fmt.Errorf("sched: unplaceable on an idle cluster: %w", lastErr))
+			d.fail(t, fmt.Errorf("sched: unplaceable on an idle cluster: %w", lastErr))
 			return
 		}
 		var queueDlC <-chan time.Time
@@ -1382,17 +1309,11 @@ func (d *Dispatcher[Job, Placement, Result]) place(t *task[Job, Result], it *que
 		case <-t.ctx.Done():
 			stopQueueTimer()
 			d.unpark()
-			d.finish(t, *new(Result), fmt.Errorf("sched: job canceled awaiting capacity: %w", t.ctx.Err()))
+			d.fail(t, fmt.Errorf("sched: job canceled awaiting capacity: %w", t.ctx.Err()))
 			return
 		}
 		stopQueueTimer()
 	}
-}
-
-// recordWait books a queueing-latency sample for a placed job. The
-// histogram is atomic; no dispatcher lock is needed.
-func (d *Dispatcher[Job, Placement, Result]) recordWait(h *Handle[Result]) {
-	d.classes[h.class].waits.Observe(h.placedAt.Sub(h.submitted))
 }
 
 // worker executes placed jobs for one chip. With a single slot per chip
@@ -1404,19 +1325,18 @@ func (d *Dispatcher[Job, Placement, Result]) worker(chip int) {
 	for p := range d.work[chip] {
 		t := p.t
 		var res Result
-		executed := false
+		var busy time.Duration
+		ran := false
 		err := t.ctx.Err()
-		start := d.now()
 		if err == nil {
 			if d.observer != nil {
 				d.observer(t.job, obs.StageExecuting, "", chip)
 			}
-			res, err = d.exec.Execute(t.ctx, chip, p.pl, t.job)
-			executed = true
+			res, busy, err = d.exec.Execute(t.ctx, chip, p.pl, t.job)
+			ran = true
 		} else {
 			err = fmt.Errorf("sched: job canceled before execution: %w", err)
 		}
-		busy := d.cfg.Clock.Since(start)
 		// A Release failure means the chip leaked the placement — never
 		// swallow it, even when Execute already failed.
 		if relErr := d.exec.Release(chip, p.pl); relErr != nil {
@@ -1431,47 +1351,66 @@ func (d *Dispatcher[Job, Placement, Result]) worker(chip int) {
 		// a release, or it would terminally fail a now-placeable job.
 		d.mu.Lock()
 		d.inflight--
-		if executed {
-			d.stats.ChipJobs[chip]++
-			d.stats.ChipBusy[chip] += busy
-			d.classes[t.h.class].exec.Observe(busy)
-		}
 		select {
 		case d.freed <- struct{}{}:
 		default:
 		}
 		d.mu.Unlock()
-		d.finish(t, res, err)
+		d.Finish(t.h, t.job, ran, busy, res, err)
 	}
 }
 
-// finish resolves a task's handle, books the outcome into the global and
-// per-class counters, and returns its quota slot.
-func (d *Dispatcher[Job, Placement, Result]) finish(t *task[Job, Result], res Result, err error) {
+// fail finishes a job that never reached execution.
+func (d *Dispatcher[Job, Placement, Result]) fail(t *task[Job, Result], err error) {
+	d.Finish(t.h, t.job, false, 0, *new(Result), err)
+}
+
+// Finish is the one completion of an admitted job, called exactly once
+// by whichever loop served it — a chip worker or an external one. Under
+// one hold of d.mu it returns the quota slot and books the outcome into
+// the global and per-class counters (and, when the job ran — entered
+// execution on the chip MarkStarted named — that chip's job count); it
+// then observes the stage latencies — queue wait for a job that reached
+// a chip, busy as the "exec" stage for one that ran, submit-to-now as
+// "e2e" — notifies the observer, and only then resolves the handle, so
+// a caller returning from Wait finds the job in Stats.
+func (d *Dispatcher[Job, Placement, Result]) Finish(h *Handle[Result], job Job, ran bool, busy time.Duration, res Result, err error) {
+	chip := h.Chip()
 	d.mu.Lock()
-	if d.tenants[t.h.tenant]--; d.tenants[t.h.tenant] <= 0 {
-		delete(d.tenants, t.h.tenant)
+	if d.tenants[h.tenant]--; d.tenants[h.tenant] <= 0 {
+		delete(d.tenants, h.tenant)
 	}
-	cs := &d.classes[t.h.class].stats
+	if h.external {
+		d.external--
+	}
+	cl := &d.classes[h.class]
 	if err == nil {
 		d.stats.Completed++
-		cs.Completed++
+		cl.stats.Completed++
 	} else {
 		d.stats.Failed++
-		cs.Failed++
+		cl.stats.Failed++
 		if errors.Is(err, core.ErrDeadlineExceeded) {
-			cs.DeadlineMisses++
+			cl.stats.DeadlineMisses++
 		}
 	}
-	e2e := d.classes[t.h.class].e2e
+	if ran {
+		d.stats.ChipJobs[chip]++
+	}
 	d.mu.Unlock()
-	e2e.Observe(d.cfg.Clock.Since(t.h.submitted))
+	if chip >= 0 {
+		cl.waits.Observe(h.placedAt.Sub(h.submitted))
+	}
+	if ran {
+		cl.exec.Observe(busy)
+	}
+	cl.e2e.Observe(d.cfg.Clock.Since(h.submitted))
 	if d.observer != nil {
 		stage := obs.StageDone
 		if err != nil {
 			stage = obs.StageFailed
 		}
-		d.observer(t.job, stage, "", t.h.Chip())
+		d.observer(job, stage, "", chip)
 	}
-	t.h.Finish(res, err)
+	h.Finish(res, err)
 }

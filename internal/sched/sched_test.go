@@ -89,7 +89,7 @@ func (e *fakeExec) Place(chip int, j *fakeJob) (int, error) {
 	return j.size, nil
 }
 
-func (e *fakeExec) Execute(ctx context.Context, chip int, pl int, j *fakeJob) (string, error) {
+func (e *fakeExec) Execute(ctx context.Context, chip int, pl int, j *fakeJob) (string, time.Duration, error) {
 	if j.name != "" {
 		e.mu.Lock()
 		e.order = append(e.order, j.name)
@@ -99,10 +99,10 @@ func (e *fakeExec) Execute(ctx context.Context, chip int, pl int, j *fakeJob) (s
 		select {
 		case <-j.block:
 		case <-ctx.Done():
-			return "", ctx.Err()
+			return "", 0, ctx.Err()
 		}
 	}
-	return "ok", j.fail
+	return "ok", 0, j.fail
 }
 
 func (e *fakeExec) Release(chip int, pl int) error {
@@ -542,6 +542,18 @@ func TestDeadlineFailsFast(t *testing.T) {
 	}
 }
 
+// admitSeq admits an externally served job of the class and returns its
+// sequence ticket. The job is left unfinished: the WaitTurn tests only
+// order it against queued work.
+func admitSeq[J any](t *testing.T, d *Dispatcher[J, int, string], class int) uint64 {
+	t.Helper()
+	_, seq, err := d.Admit("external", class, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seq
+}
+
 // TestWaitTurnBlocksBehindOlderQueuedWork: an external ticket holder may
 // not proceed while an older equal-class dispatcher job is queued or
 // parked, unblocks once it places, and passes lower-class queued work
@@ -563,7 +575,7 @@ func TestWaitTurnBlocksBehindOlderQueuedWork(t *testing.T) {
 	}
 
 	// Equal class, newer ticket: must wait for the queued job.
-	seq := d.Ticket()
+	seq := admitSeq(t, d, 1)
 	turn := make(chan error, 1)
 	go func() { turn <- d.WaitTurn(context.Background(), seq, 1, time.Time{}) }()
 	select {
@@ -573,7 +585,7 @@ func TestWaitTurnBlocksBehindOlderQueuedWork(t *testing.T) {
 	}
 
 	// Higher class passes queued lower-class work without waiting.
-	if err := d.WaitTurn(context.Background(), d.Ticket(), 3, time.Time{}); err != nil {
+	if err := d.WaitTurn(context.Background(), admitSeq(t, d, 3), 3, time.Time{}); err != nil {
 		t.Fatalf("high-class WaitTurn: %v", err)
 	}
 
@@ -609,7 +621,7 @@ func TestWaitTurnBlocksBehindOlderQueuedWork(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	if err := d.WaitTurn(ctx, d.Ticket(), 1, time.Time{}); !errors.Is(err, context.Canceled) {
+	if err := d.WaitTurn(ctx, admitSeq(t, d, 1), 1, time.Time{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled WaitTurn: got %v, want context.Canceled", err)
 	}
 	close(gate2)

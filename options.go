@@ -151,19 +151,6 @@ func WithClock(clk Clock) ClusterOption {
 	return func(c *clusterConfig) { c.clock = clk }
 }
 
-// WithPlacementNegativeTTL tunes the placement engine's negative-result
-// memoization (default place.DefaultNegativeTTL; zero or negative
-// disables it). A topology that just failed to map on a chip is refused
-// again without re-running the mapper for the TTL, as long as the chip's
-// free capacity has not grown since the failure — commits elsewhere on
-// the chip shift the free-set signature without making the failure any
-// more curable, so repeated map-parks of an unsatisfiable shape coalesce
-// instead of burning a mapper run per shift. Any release or session
-// eviction on the chip clears its memoized failures immediately.
-func WithPlacementNegativeTTL(d time.Duration) ClusterOption {
-	return func(c *clusterConfig) { c.negTTL = &d }
-}
-
 // WithPlacementRegret sets the hits-first regret tolerance in edit-
 // distance units (default 0). A job whose topology has a cached valid
 // mapping of cost <= r on some adequate chip starts there immediately —

@@ -6,8 +6,9 @@ package vnpu
 // overlapped. Because the hypervisor only hands out disjoint core sets,
 // the serving paths normally acquire without waiting — the lock exists
 // so a violated isolation invariant degrades to serialization instead of
-// corrupting a neighbor's cycle timeline. vNPUs without a timing domain
-// reset chip-global state per run and therefore claim every core.
+// corrupting a neighbor's cycle timeline. Every serving vNPU owns a
+// private timing domain (Cluster.create opens it), so no run resets
+// chip-global state and none needs the whole chip.
 
 import (
 	"sync"
@@ -24,8 +25,7 @@ type regionClaim struct {
 // chipRegions admits executions on one chip: disjoint core sets
 // concurrently, intersecting ones in FIFO-less arrival order (waiters
 // re-check on every release; fairness does not matter because conflicts
-// only arise when isolation is already broken or a domain-less vNPU
-// demands the whole chip).
+// only arise when isolation is already broken).
 type chipRegions struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -90,17 +90,11 @@ const overlapLevels = 64
 
 // acquireRegion claims the vNPU's cores on the chip for execution,
 // waiting out any intersecting claim, and samples the resulting
-// concurrency level. Both execution paths bracket every run with
+// concurrency level. Cluster.execute brackets every run with
 // acquireRegion/releaseRegion.
 func (c *Cluster) acquireRegion(chip int, v *VirtualNPU) *regionClaim {
-	nodes := v.Nodes()
-	if !v.HasDomain() {
-		// Without a private timing domain the run resets chip-global
-		// calendars, so it must execute exclusively.
-		nodes = c.chipNodes[chip]
-	}
 	waitStart := c.clk.Now()
-	claim := c.regions[chip].acquire(nodes)
+	claim := c.regions[chip].acquire(v.Nodes())
 	c.regionWait.Observe(c.clk.Since(waitStart))
 	level := c.curJobs[chip].Add(1)
 	if level > overlapLevels {

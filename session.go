@@ -25,7 +25,6 @@ import (
 	"github.com/vnpu-sim/vnpu/internal/place"
 	"github.com/vnpu-sim/vnpu/internal/sched"
 	"github.com/vnpu-sim/vnpu/internal/session"
-	"github.com/vnpu-sim/vnpu/internal/topo"
 )
 
 // SessionStats is a snapshot of the session pool's counters: warm hits,
@@ -36,8 +35,7 @@ type SessionStats = metrics.SessionStats
 // WithSessionReuse enables the session pool: session-eligible jobs (see
 // Job.Reusable) lease resident vNPUs instead of paying the
 // create→map→run→destroy path per job. SessionStats reports the warm-hit
-// rate; tune the pool with WithSessionIdleTTL, WithSessionMaxIdle and
-// WithSessionMicroQueue.
+// rate; tune the pool with WithSessionIdleTTL and WithSessionMaxIdle.
 func WithSessionReuse() ClusterOption {
 	return func(c *clusterConfig) { c.sessionReuse = true }
 }
@@ -55,13 +53,6 @@ func WithSessionIdleTTL(d time.Duration) ClusterOption {
 // session is destroyed.
 func WithSessionMaxIdle(n int) ClusterOption {
 	return func(c *clusterConfig) { c.sessionIdle = n }
-}
-
-// WithSessionMicroQueue bounds each busy session's micro-queue — how
-// many compatible jobs may wait to be continuously batched onto the
-// resident vNPU (default session.DefaultMicroQueueDepth).
-func WithSessionMicroQueue(n int) ClusterOption {
-	return func(c *clusterConfig) { c.sessionMicro = n }
 }
 
 // SessionStats returns a snapshot of the session pool's counters (zero
@@ -162,9 +153,9 @@ type sessTask struct {
 	req Request
 	key session.Key
 	h   *sched.Handle[JobReport]
-	// seq is the admission sequence ticket drawn from the dispatcher's
-	// counter: the job may not start until no older queued dispatcher
-	// job of equal-or-higher class remains (WaitTurn).
+	// seq is the admission sequence ticket Admit issued: the job may not
+	// start until no older queued dispatcher job of equal-or-higher class
+	// remains (WaitTurn).
 	seq uint64
 }
 
@@ -269,49 +260,43 @@ func (c *Cluster) pokeAll() {
 }
 
 // submitSession admits a session-eligible job and starts its serving
-// goroutine. Admission mirrors the dispatcher's: the in-flight bound is
-// the queue depth (ErrQueueFull beyond), the tenant quota is one shared
-// counter with the dispatcher path — the slot is reserved atomically in
-// the dispatcher (ReserveSlot), so racing Submits on the two paths
-// cannot jointly oversubscribe a tenant — and the job draws a sequence
-// ticket from the dispatcher's admission counter, so the scheduler core
-// can order it against queued one-shot work (WaitTurn in sessionRun).
+// goroutine. Admission is the scheduler core's (Admit): the same typed
+// rejections, tenant quota counter, Submitted counts and sequence
+// counter as a one-shot Submit, so racing Submits on the two paths cannot
+// jointly oversubscribe a tenant and the core can order the job against
+// queued one-shot work (WaitTurn in sessionRun).
 func (c *Cluster) submitSession(ctx context.Context, job Job, req Request, key session.Key) (*Handle, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if !job.Deadline.IsZero() && c.clk.Now().After(job.Deadline) {
-		c.disp.ExternalDeadlineMiss(job.Priority.class())
-		return nil, fmt.Errorf("vnpu: job deadline already passed at submit: %w", ErrDeadlineExceeded)
-	}
-	tenant := job.tenant()
 	c.sessMu.Lock()
 	if c.sessClosed {
 		c.sessMu.Unlock()
 		return nil, fmt.Errorf("vnpu: cluster closed: %w", ErrDestroyed)
 	}
-	if c.sessInflight >= c.queueDepth {
-		c.sessMu.Unlock()
-		return nil, fmt.Errorf("vnpu: %d session jobs in flight: %w", c.queueDepth, ErrQueueFull)
-	}
-	if err := c.disp.ReserveSlot(tenant); err != nil {
-		c.sessMu.Unlock()
-		return nil, err
-	}
-	c.sessInflight++
-	c.sessSubmitted++
 	c.sessWG.Add(1)
 	c.sessMu.Unlock()
-	class := job.Priority.class()
-	c.disp.ExternalSubmitted(class)
-	t := &sessTask{
-		ctx: ctx, job: job, req: req, key: key,
-		h:   sched.NewHandle[JobReport](c.clk, tenant, class),
-		seq: c.disp.Ticket(),
+	h, seq, err := c.disp.Admit(job.tenant(), job.Priority.class(), job.Deadline)
+	if err != nil {
+		c.sessWG.Done()
+		return nil, err
 	}
+	t := &sessTask{ctx: ctx, job: job, req: req, key: key, h: h, seq: seq}
 	c.trace(&job, obs.StageAdmitted, "", -1)
 	go c.sessionRun(t)
-	return &Handle{h: t.h}, nil
+	return &Handle{h: h}, nil
+}
+
+// finishSess ends a session job through the scheduler core's one
+// completion and takes it out of the drain group.
+func (c *Cluster) finishSess(t *sessTask, ran bool, busy time.Duration, rep JobReport, err error) {
+	c.disp.Finish(t.h, t.job, ran, busy, rep, err)
+	c.sessWG.Done()
+}
+
+// failSess ends a session job that never reached a vNPU.
+func (c *Cluster) failSess(t *sessTask, err error) {
+	c.finishSess(t, false, 0, JobReport{}, err)
 }
 
 // sessionRun serves one session job: attach to a busy compatible session
@@ -329,7 +314,7 @@ func (c *Cluster) submitSession(ctx context.Context, job Job, req Request, key s
 // what priority classes are for).
 func (c *Cluster) sessionRun(t *sessTask) {
 	if err := c.disp.WaitTurn(t.ctx, t.seq, t.job.Priority.class(), t.job.Deadline); err != nil {
-		c.finishSess(t, JobReport{}, fmt.Errorf("vnpu: %w", err))
+		c.failSess(t, fmt.Errorf("vnpu: %w", err))
 		return
 	}
 	var deadlineC <-chan time.Time
@@ -368,7 +353,7 @@ func (c *Cluster) sessionRun(t *sessTask) {
 			// strand other parked session jobs, and a dispatcher job parked
 			// on this goroutine's pending create needs its own wakeup.
 			c.pokeAll()
-			c.finishSess(t, JobReport{}, fmt.Errorf("vnpu: acquiring session: %w", err))
+			c.failSess(t, fmt.Errorf("vnpu: acquiring session: %w", err))
 			return
 		}
 		// Anything currently holding capacity — dispatcher placements,
@@ -383,18 +368,18 @@ func (c *Cluster) sessionRun(t *sessTask) {
 			default:
 			}
 			c.pokeAll()
-			c.finishSess(t, JobReport{}, fmt.Errorf("vnpu: session unplaceable on an idle cluster: %w", err))
+			c.failSess(t, fmt.Errorf("vnpu: session unplaceable on an idle cluster: %w", err))
 			return
 		}
 		select {
 		case <-c.capFreed:
 		case <-deadlineC:
 			c.pokeAll()
-			c.finishSess(t, JobReport{}, fmt.Errorf("vnpu: deadline passed awaiting session capacity: %w", ErrDeadlineExceeded))
+			c.failSess(t, fmt.Errorf("vnpu: deadline passed awaiting session capacity: %w", ErrDeadlineExceeded))
 			return
 		case <-t.ctx.Done():
 			c.pokeAll()
-			c.finishSess(t, JobReport{}, fmt.Errorf("vnpu: job canceled awaiting session capacity: %w", t.ctx.Err()))
+			c.failSess(t, fmt.Errorf("vnpu: job canceled awaiting session capacity: %w", t.ctx.Err()))
 			return
 		}
 	}
@@ -420,16 +405,24 @@ func (c *Cluster) sessionRun(t *sessTask) {
 	// factory would hand the pool a vNPU it cannot destroy when Acquire
 	// loses the close race.
 	r.v.Lease()
+	chip := lease.Chip()
 	for {
-		fatal := c.execSession(lease.Chip(), r, t, warm)
+		t.h.MarkStarted(chip)
+		c.trace(&t.job, obs.StageExecuting, "", chip)
+		// The session's program is resolved on its first job and reused
+		// by every later one (the session key pins the model).
+		rep, busy, err := c.execute(t.ctx, chip, r.v, &r.cm, &t.job)
+		rep.Warm = warm
+		c.finishSess(t, true, busy, rep, err)
 		// The run loop holds the vNPU's lease only while a job executes;
 		// it must drop before the session can go idle, or eviction of the
 		// just-idled session would trip the lease-safe destroy guard.
 		r.v.Unlease()
-		if fatal {
-			// The resource is suspect (non-cancellation execution error):
-			// destroy it and re-dispatch whatever was micro-queued — each
-			// job attaches elsewhere or acquires a fresh session.
+		if err != nil && t.ctx.Err() == nil && !errors.Is(err, ErrDeadlineExceeded) {
+			// The job failed through no cancellation or missed deadline of
+			// its own, so the resource is suspect: destroy it and
+			// re-dispatch whatever was micro-queued — each job attaches
+			// elsewhere or acquires a fresh session.
 			for _, queued := range lease.Discard() {
 				go c.sessionRun(queued)
 			}
@@ -442,92 +435,6 @@ func (c *Cluster) sessionRun(t *sessTask) {
 		r.v.Lease()
 		t, warm = next, true
 	}
-}
-
-// execSession executes one job on the resident vNPU, resolving the
-// session's program through the cluster's compile-once cache on first
-// use and reusing it for every later job. It reports whether the session
-// must be discarded (true on execution errors that are not the job's own
-// cancellation). Jobs whose scheduling deadline passed while they waited
-// — in the micro-queue or for the chip — fail fast without running.
-func (c *Cluster) execSession(chip int, r *sessRes, t *sessTask, warm bool) (fatal bool) {
-	if err := t.ctx.Err(); err != nil {
-		c.finishSess(t, JobReport{}, fmt.Errorf("vnpu: job canceled before execution: %w", err))
-		return false
-	}
-	if !t.job.Deadline.IsZero() && c.clk.Now().After(t.job.Deadline) {
-		c.finishSess(t, JobReport{}, fmt.Errorf("vnpu: deadline passed before execution: %w", ErrDeadlineExceeded))
-		return false
-	}
-	t.h.MarkStarted(chip)
-	c.trace(&t.job, obs.StageExecuting, "", chip)
-	sys := c.systems[chip]
-	claim := c.acquireRegion(chip, r.v)
-	// The busy clock starts after the claim: waiting for a conflicting
-	// region is queue time, not execution time, or per-chip busy% would
-	// exceed 100%.
-	start := c.clk.Now()
-	if c.testExecHook != nil {
-		c.testExecHook(chip)
-	}
-	r.v.ResetForRun()
-	var rep Report
-	var err error
-	if r.cm == nil {
-		r.cm, err = c.compileFor(chip, r.v, t.job.Model, t.job.modelSig)
-	}
-	if err == nil {
-		rep, err = sys.RunCompiled(t.ctx, r.v, r.cm, t.job.Iterations)
-	}
-	// Measure before releasing the claim: post-release descheduling
-	// would otherwise bleed into the next job's execution time.
-	busy := c.clk.Since(start)
-	c.releaseRegion(chip, claim, r.v.NumCores(), busy)
-	c.sessMu.Lock()
-	c.sessChipJobs[chip]++
-	c.sessMu.Unlock()
-	c.sessExec[t.job.Priority.class()].Observe(busy)
-	if err != nil {
-		c.finishSess(t, JobReport{}, err)
-		return t.ctx.Err() == nil
-	}
-	c.finishSess(t, JobReport{
-		Report:   rep,
-		Chip:     chip,
-		Tenant:   t.job.tenant(),
-		Model:    t.job.Model.Name,
-		MapCost:  r.v.MapCost(),
-		Priority: t.job.Priority,
-		Warm:     warm,
-	}, nil)
-	return false
-}
-
-// finishSess resolves a session job's handle, books it into the
-// scheduler core's per-class accounting (so SchedStats covers both
-// serving paths), and returns its admission and quota slots.
-func (c *Cluster) finishSess(t *sessTask, rep JobReport, err error) {
-	c.sessMu.Lock()
-	c.sessInflight--
-	if err == nil {
-		c.sessCompleted++
-	} else {
-		c.sessFailed++
-	}
-	c.sessMu.Unlock()
-	class := t.job.Priority.class()
-	c.sessE2E[class].Observe(t.h.Sojourn())
-	if c.rec != nil || c.slo != nil {
-		stage := obs.StageDone
-		if err != nil {
-			stage = obs.StageFailed
-		}
-		c.trace(&t.job, stage, "", t.h.Chip())
-	}
-	c.disp.ReleaseSlot(t.h.Tenant())
-	t.h.Finish(rep, err)
-	c.disp.ExternalDone(class, t.h.QueueWait(), err)
-	c.sessWG.Done()
 }
 
 // createSession is the pool's cold path: place and create a resident
@@ -562,39 +469,17 @@ func (c *Cluster) createSession(req Request, class int) (int, *sessRes, error) {
 	})
 	var lastErr error
 	for _, cand := range cands {
-		v, err := c.createPlaced(cand.Chip, req, func(nodes []topo.NodeID) error {
-			return c.engine.Reserve(cand.Chip, nodes, class)
-		})
+		v, err := c.create(cand.Chip, req, class)
+		if err == nil {
+			return cand.Chip, &sessRes{v: v, class: class}, nil
+		}
 		if errors.Is(err, errMirrorDrift) {
 			return 0, nil, err
 		}
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		// The resident vNPU executes inside its own timing domain for
-		// its whole lifetime, so warm jobs overlap disjoint neighbors.
-		// An overlap failure means the placement view is corrupt — undo
-		// the create rather than serve on shared timing.
-		if err := v.OpenDomain(); err != nil {
-			_ = c.destroySession(cand.Chip, &sessRes{v: v, class: class})
-			return 0, nil, err
-		}
-		return cand.Chip, &sessRes{v: v, class: class}, nil
+		lastErr = err
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("vnpu: no chip can host the session: %w", ErrNoCapacity)
 	}
 	return 0, nil, lastErr
-}
-
-// destroySession is the pool's destroy hook: tear the resident vNPU down
-// and return its cores to the placement engine's mirror (and its class's
-// held-core account).
-func (c *Cluster) destroySession(chip int, r *sessRes) error {
-	nodes := append([]topo.NodeID(nil), r.v.Nodes()...)
-	if err := c.systems[chip].Destroy(r.v); err != nil {
-		return err
-	}
-	return c.engine.Evict(chip, nodes, r.class)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -224,9 +225,12 @@ func TestSessionCancelMidRunFreesChip(t *testing.T) {
 }
 
 // TestSessionPooledMatchesNonPooled is the equivalence property: the
-// same sequential job sequence produces identical simulated cycle counts
-// with and without session reuse — resident vNPUs and cached compiled
-// programs are a serving optimization, not a semantic change.
+// same job reaches the same outcome with and without session reuse —
+// resident vNPUs and cached compiled programs are a serving optimization,
+// not a semantic change. A sequential job sequence produces identical
+// simulated cycle counts, and a job that cannot run — canceled, or past
+// its deadline, before execution — fails with the same typed error, is
+// booked the same way and leaves cores and quota as it found them.
 func TestSessionPooledMatchesNonPooled(t *testing.T) {
 	type step struct {
 		model string
@@ -270,6 +274,125 @@ func TestSessionPooledMatchesNonPooled(t *testing.T) {
 			t.Fatalf("step %d (%s): pooled %d cycles, non-pooled %d",
 				i, steps[i].model, pooled[i], plain[i])
 		}
+	}
+
+	// The rows below hold the whole chip with a blocker gated on the exec
+	// hook, submit a victim, make it unrunnable while the chip is still
+	// held, free the chip, and compare the two paths.
+	type outcome struct {
+		err            error
+		failed, misses uint64
+	}
+	cannotRun := func(reuse, deadline bool) outcome {
+		clk := NewVirtualClock(time.Unix(0, 0))
+		opts := []ClusterOption{WithTenantQuota(1), WithClock(clk)}
+		if reuse {
+			opts = append(opts, WithSessionReuse(), WithSessionIdleTTL(time.Hour))
+		}
+		c, release := holdCluster(t, opts...)
+		var runs atomic.Int32
+		hold := c.testExecHook
+		c.testExecHook = func(chip int) {
+			runs.Add(1)
+			hold(chip)
+		}
+		job := Job{Tenant: "blocker", Model: mustModel(t, "alexnet"), Topology: Mesh(2, 4), Reusable: true}
+		blocker, err := c.Submit(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-blocker.Started()
+		job.Tenant = "victim"
+		victim := job
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		if deadline {
+			victim.Deadline = clk.Now().Add(time.Second)
+		}
+		h, err := c.Submit(ctx, victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if deadline {
+			clk.Advance(2 * time.Second)
+		} else {
+			cancel()
+		}
+		release()
+		_, werr := h.Wait(context.Background())
+		if _, err := blocker.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		// Its quota slot is back: the tenant's quota of one admits again.
+		again, err := c.Submit(context.Background(), job)
+		if err != nil {
+			t.Fatalf("reuse=%v: quota slot not returned: %v", reuse, err)
+		}
+		if _, err := again.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if n := runs.Load(); n != 2 {
+			t.Errorf("reuse=%v: %d runs started, want the blocker's and the resubmission's", reuse, n)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if free := c.systems[0].FreeCores(); free != c.systems[0].Config().Cores() {
+			t.Errorf("reuse=%v: %d cores free after Close, want all", reuse, free)
+		}
+		return outcome{werr, c.Stats().Failed, c.SchedStats().DeadlineMisses()}
+	}
+	for _, row := range []struct {
+		name     string
+		deadline bool
+		want     error
+		misses   uint64
+	}{
+		{"canceled before execution", false, context.Canceled, 0},
+		{"deadline before execution", true, ErrDeadlineExceeded, 1},
+	} {
+		for _, reuse := range []bool{true, false} {
+			got := cannotRun(reuse, row.deadline)
+			if !errors.Is(got.err, row.want) {
+				t.Errorf("%s, reuse=%v: got %v, want %v", row.name, reuse, got.err, row.want)
+			}
+			if got.failed != 1 || got.misses != row.misses {
+				t.Errorf("%s, reuse=%v: %d failed and %d deadline misses, want 1 and %d",
+					row.name, reuse, got.failed, got.misses, row.misses)
+			}
+		}
+	}
+}
+
+// TestStatsBookedBeforeHandleResolves: a caller returning from Wait finds
+// its job already counted, in the cluster totals and in its class — the
+// completion books the outcome before it resolves the handle, on both
+// serving paths.
+func TestStatsBookedBeforeHandleResolves(t *testing.T) {
+	for _, row := range []struct {
+		name     string
+		reusable bool
+	}{{"one-shot", false}, {"session-warm", true}} {
+		t.Run(row.name, func(t *testing.T) {
+			c := tracedCluster(t, WithTimingBackend(FastTimingBackend(0)))
+			job := decodeJob()
+			job.Reusable = row.reusable
+			class := PriorityNormal.class()
+			for i := uint64(1); i <= 200; i++ {
+				if !row.reusable {
+					// A repeated fingerprint would auto-promote onto the
+					// session path.
+					job.Tenant = fmt.Sprintf("t%d", i)
+				}
+				submitWait(t, c, job)
+				if got := c.Stats().Completed; got != i {
+					t.Fatalf("job %d: Wait returned with Stats().Completed = %d", i, got)
+				}
+				if got := c.SchedStats().Classes[class].Completed; got != i {
+					t.Fatalf("job %d: Wait returned with class Completed = %d", i, got)
+				}
+			}
+		})
 	}
 }
 
@@ -322,6 +445,7 @@ func TestSessionChurnRace(t *testing.T) {
 	if s.BusySessions != 0 || s.IdleSessions != 0 {
 		t.Fatalf("sessions survived Close: %+v", s)
 	}
+	checkDrained(t, c)
 }
 
 // TestDispatcherReclaimsIdleSessionMemory exercises the Reclaim hook:

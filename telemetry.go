@@ -108,8 +108,8 @@ func (c *Cluster) shardLabel() obs.Label {
 
 // stageHist is the StageHist provider handed to the scheduler core: one
 // histogram per (stage, priority class), registered in the cluster's
-// registry under the shared vnpu_stage_latency_seconds family so both
-// serving paths and every shard report into mergeable series.
+// registry under the shared vnpu_stage_latency_seconds family so every
+// shard reports into mergeable series.
 func (c *Cluster) stageHist(stage string, class int) *obs.Histogram {
 	return c.reg.Histogram("vnpu_stage_latency_seconds",
 		"Serving latency per lifecycle stage and priority class.",
@@ -148,9 +148,8 @@ func (c *Cluster) trace(job *Job, stage obs.Stage, detail string, chip int) {
 }
 
 // ClusterSnapshot bundles every per-cluster counter family, captured in
-// one pass: one dispatcher read and one session-counter merge feed all
-// four families, so the former per-accessor ad-hoc copies (each taking
-// the locks again) are gone.
+// one pass: the scheduler core owns the job counters of both serving
+// paths, so one dispatcher read feeds them all.
 type ClusterSnapshot struct {
 	Cluster   ClusterStats
 	Sched     SchedStats
@@ -163,11 +162,8 @@ type ClusterSnapshot struct {
 // SessionStats and PlacementStats read through it.
 func (c *Cluster) Snapshot() ClusterSnapshot {
 	ds := c.disp.Stats()
-	// The dispatcher already returns defensive slice copies. Its
-	// worker-measured ChipBusy is deliberately not used: with several
-	// execution slots per chip the workers' wall-clock sums can exceed
-	// elapsed time. ChipBusy instead comes from the cluster's occupancy
-	// integral, which both execution paths feed (releaseRegion).
+	// The dispatcher already returns defensive slice copies. ChipBusy
+	// comes from the cluster's occupancy integral (releaseRegion).
 	s := ClusterStats{
 		Submitted:         ds.Submitted,
 		RejectedQueueFull: ds.RejectedQueueFull,
@@ -201,14 +197,6 @@ func (c *Cluster) Snapshot() ClusterSnapshot {
 			}
 		}
 	}
-	c.sessMu.Lock()
-	s.Submitted += c.sessSubmitted
-	s.Completed += c.sessCompleted
-	s.Failed += c.sessFailed
-	for i := range c.sessChipJobs {
-		s.ChipJobs[i] += c.sessChipJobs[i]
-	}
-	c.sessMu.Unlock()
 	snap := ClusterSnapshot{
 		Cluster:   s,
 		Sched:     SchedStats{Classes: ds.PerClass},
@@ -293,16 +281,6 @@ func (c *Cluster) collect(emit func(obs.Sample)) {
 
 	if c.rec != nil {
 		counter("vnpu_trace_dropped_total", "Lifecycle trace events overwritten in the ring buffers.", float64(c.TraceDropped()))
-	}
-}
-
-// initStageHists fetches the session path's handles on the same stage
-// histograms the dispatcher fills (get-or-create via stageHist, so the
-// pointers are shared).
-func (c *Cluster) initStageHists() {
-	for class := 0; class < NumPriorityClasses; class++ {
-		c.sessExec[class] = c.stageHist("exec", class)
-		c.sessE2E[class] = c.stageHist("e2e", class)
 	}
 }
 
