@@ -505,30 +505,38 @@ func buildRoutingTable(vm VMID, phys, req *topo.Graph, nodes []topo.NodeID, mesh
 
 // rectangleRowMajor reports whether nodes form an axis-aligned rectangle
 // traversed row-major, and whether the request is the matching full mesh.
+// The positional condition is read off the coordinates alone; mesh-ness is
+// then decided exactly — the right edge count and every grid-neighbour
+// pair wired — never by a collision-tolerant signature.
 func rectangleRowMajor(phys, req *topo.Graph, nodes []topo.NodeID) (rows, cols int, ok bool) {
-	sub := phys.Induced(nodes)
-	min, max, has := topo.MeshBounds(sub)
-	if !has {
+	n := len(nodes)
+	if n == 0 || req.NumNodes() != n {
 		return 0, 0, false
 	}
-	rows = max.Y - min.Y + 1
-	cols = max.X - min.X + 1
-	if rows*cols != len(nodes) {
+	first, hasFirst := phys.CoordOf(nodes[0])
+	last, hasLast := phys.CoordOf(nodes[n-1])
+	if !hasFirst || !hasLast {
 		return 0, 0, false
 	}
-	// Request must be the full rows x cols mesh.
-	if topo.Signature(req, 0) != topo.Signature(topo.Mesh2D(rows, cols), 0) {
+	rows = last.Y - first.Y + 1
+	cols = last.X - first.X + 1
+	if rows < 1 || cols < 1 || rows*cols != n {
 		return 0, 0, false
 	}
-	// Mapping must be row-major over the rectangle.
 	for v, p := range nodes {
 		c, has := phys.CoordOf(p)
-		if !has {
+		if !has || c.X != first.X+v%cols || c.Y != first.Y+v/cols {
 			return 0, 0, false
 		}
-		wantX := min.X + v%cols
-		wantY := min.Y + v/cols
-		if c.X != wantX || c.Y != wantY {
+	}
+	if req.NumEdges() != rows*(cols-1)+cols*(rows-1) {
+		return 0, 0, false
+	}
+	for v := 0; v < n; v++ {
+		if v%cols+1 < cols && !req.HasEdge(topo.NodeID(v), topo.NodeID(v+1)) {
+			return 0, 0, false
+		}
+		if v/cols+1 < rows && !req.HasEdge(topo.NodeID(v), topo.NodeID(v+cols)) {
 			return 0, 0, false
 		}
 	}

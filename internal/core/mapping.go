@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/vnpu-sim/vnpu/internal/ged"
@@ -65,6 +66,10 @@ const (
 	exactEnumLimit   = 3000
 	maxGEDCandidates = 512
 )
+
+// mapSimilar's stream relies on exactEnumLimit >= maxGEDCandidates (see
+// there); a negative constant does not convert.
+const _ = uint(exactEnumLimit - maxGEDCandidates)
 
 // MapTopology allocates req.NumNodes() cores from the free nodes of phys
 // according to the strategy. The requested topology's node IDs must be
@@ -132,9 +137,8 @@ func mapStraightforward(phys *topo.Graph, free []topo.NodeID, req *topo.Graph, o
 
 // idOrderNodes returns the k smallest free node IDs in ascending order.
 func idOrderNodes(free []topo.NodeID, k int) []topo.NodeID {
-	sorted := make([]topo.NodeID, len(free))
-	copy(sorted, free)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(free)
+	slices.Sort(sorted)
 	if len(sorted) > k {
 		sorted = sorted[:k]
 	}
@@ -150,8 +154,8 @@ var (
 	enableGEDPrune     = true
 )
 
-// mapSimilar implements Algorithm 1: enumerate connected candidate regions,
-// prune duplicates by topology signature, return early on an exact match,
+// mapSimilar implements Algorithm 1: stream connected candidate regions,
+// return at the first exact match, prune duplicates by topology signature,
 // otherwise compute edit distances in parallel and keep the minimum.
 //
 // Three prunings cut the miss cost without changing the returned score:
@@ -167,55 +171,74 @@ func mapSimilar(phys *topo.Graph, free []topo.NodeID, req *topo.Graph, opt ged.O
 			return res, nil
 		}
 	}
-	// One dense index of the physical graph serves candidate enumeration
-	// and every candidate's signature.
-	host := topo.NewHost(phys)
-	candidates := gatherCandidates(host, free, k)
-	if len(candidates) == 0 {
-		return MapResult{}, fmt.Errorf("core: no connected %d-core region available: %w", k, ErrTopologyUnsatisfiable)
-	}
 
 	// Signature dedup is only sound when the cost model is purely
 	// structural; positional penalties distinguish same-shape regions.
-	// Signatures are computed in place over the host graph (SubSigner);
-	// the induced subgraph is only materialized for candidates that
-	// survive dedup — duplicates, the common case on a fragmented mesh,
-	// cost one signature and no graph construction.
+	// Signatures are computed in place over the physical graph's view
+	// (SubSigner); the induced subgraph is only materialized for
+	// candidates that survive dedup — duplicates, the common case on a
+	// fragmented mesh, cost one signature and no graph construction.
 	dedup := opt.ExtraNodePenalty == nil
-	reqSig := topo.Signature(req, 0)
+	host := topo.ViewOf(phys)
+	reqSig := topo.ViewOf(req).WL()
 	signer := host.Signer()
-	seen := make(map[string]bool)
+	seen := make(map[topo.WLSig]bool)
 	var kept []candidate
-	for _, c := range candidates {
-		sig := signer.Signature(c.nodes, 0)
+	var exact *MapResult
+	// consider takes the next candidate region off the stream (nodes is
+	// the enumerator's buffer) and reports whether it wants another.
+	consider := func(nodes []topo.NodeID) bool {
+		sig := signer.Sum(nodes, 0)
 		var sub *topo.Graph
 		if sig == reqSig {
 			// Algorithm 1 line 22: exact topology, return immediately.
-			sub = phys.Induced(c.nodes)
+			sub = phys.Induced(nodes)
 			cost, mapping := ged.Distance(req, sub, opt)
 			if cost == 0 {
-				return MapResult{
-					Nodes:      orderByMapping(req, mapping, c.nodes),
+				exact = &MapResult{
+					Nodes:      orderByMapping(req, mapping, nodes),
 					Cost:       0,
 					Candidates: len(kept) + 1,
 					Connected:  true,
-				}, nil
+				}
+				return false
 			}
 			// Rare signature collision: fall through to scoring.
 		}
 		if dedup {
 			if seen[sig] {
-				continue
+				return true
 			}
 			seen[sig] = true
 		}
 		if sub == nil {
-			sub = phys.Induced(c.nodes)
+			sub = phys.Induced(nodes)
 		}
-		kept = append(kept, candidate{nodes: c.nodes, sub: sub})
-		if len(kept) >= maxGEDCandidates {
-			break
+		kept = append(kept, candidate{nodes: slices.Clone(nodes), sub: sub})
+		return len(kept) < maxGEDCandidates
+	}
+	// Exhaustive enumeration when feasible, seeded region growing when the
+	// request is too large for it or it ran into its limit. A grow set the
+	// enumeration already produced needs no node-set bookkeeping to be
+	// dropped: its signature has been seen. (With signature dedup off every
+	// enumerated set is kept, so the stream stops at maxGEDCandidates long
+	// before exactEnumLimit and no grow set is ever consulted.)
+	grow := k > exactEnumMaxK
+	if !grow {
+		grow = !host.VisitConnectedSubgraphs(free, k, exactEnumLimit, consider)
+	}
+	if grow {
+		for _, nodes := range host.GrowRegions(free, k) {
+			if !consider(nodes) {
+				break
+			}
 		}
+	}
+	if exact != nil {
+		return *exact, nil
+	}
+	if len(kept) == 0 {
+		return MapResult{}, fmt.Errorf("core: no connected %d-core region available: %w", k, ErrTopologyUnsatisfiable)
 	}
 
 	// Algorithm 1 lines 30-32: score candidates in parallel, keep the
@@ -246,7 +269,7 @@ func mapSimilar(phys *topo.Graph, free []topo.NodeID, req *topo.Graph, opt ged.O
 		for i := range kept {
 			lbs[i] = lber.Bound(kept[i].sub)
 		}
-		sort.SliceStable(order, func(a, b int) bool { return lbs[order[a]] < lbs[order[b]] })
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(lbs[a], lbs[b]) })
 	}
 	bestCost := math.Inf(1)
 	width := runtime.GOMAXPROCS(0)
@@ -346,42 +369,6 @@ type candidate struct {
 	sub   *topo.Graph
 }
 
-// gatherCandidates produces connected size-k regions of the free set:
-// exhaustive enumeration when feasible, seeded region growing otherwise,
-// deduplicated by node set. Both enumerators run on the caller's shared
-// host index.
-func gatherCandidates(host *topo.Host, free []topo.NodeID, k int) []candidate {
-	var sets [][]topo.NodeID
-	if k <= exactEnumMaxK {
-		enum, complete := host.ConnectedSubgraphs(free, k, exactEnumLimit)
-		sets = enum
-		if !complete {
-			sets = append(sets, host.GrowRegions(free, k)...)
-		}
-	} else {
-		sets = host.GrowRegions(free, k)
-	}
-	seen := make(map[string]bool, len(sets))
-	out := make([]candidate, 0, len(sets))
-	for _, s := range sets {
-		key := nodeSetKey(s)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, candidate{nodes: s})
-	}
-	return out
-}
-
-func nodeSetKey(ids []topo.NodeID) string {
-	b := make([]byte, 0, len(ids)*3)
-	for _, id := range ids {
-		b = append(b, byte(id), byte(id>>8), ';')
-	}
-	return string(b)
-}
-
 // orderByMapping converts a GED mapping into the Nodes slice (vCore order).
 // Virtual cores the solver left unmapped are assigned leftover region
 // nodes deterministically.
@@ -405,7 +392,7 @@ func orderByMapping(req *topo.Graph, m ged.Mapping, region []topo.NodeID) []topo
 				leftovers = append(leftovers, p)
 			}
 		}
-		sort.Slice(leftovers, func(i, j int) bool { return leftovers[i] < leftovers[j] })
+		slices.Sort(leftovers)
 		for i, v := range missing {
 			out[v] = leftovers[i]
 		}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/vnpu-sim/vnpu/internal/ged"
 	"github.com/vnpu-sim/vnpu/internal/topo"
@@ -22,8 +22,13 @@ import (
 // heterogeneous kinds simply falls through to the general search.
 func exactRectangle(phys *topo.Graph, free []topo.NodeID, req *topo.Graph, opt ged.Options) (MapResult, bool) {
 	k := req.NumNodes()
-	cellOf, w, h, ok := meshGrid(req)
-	if !ok {
+	// The request's grid comes off its view, decoded once per topology.
+	// cells index the vCore slice directly: positions are virtual core IDs
+	// because MapTopology validates dense 0..k-1 request IDs before any
+	// mapper runs; keep the guard anyway.
+	rv := topo.ViewOf(req)
+	cells, w, h, ok := rv.Grid()
+	if !ok || rv.IDs[0] != 0 || int(rv.IDs[k-1]) != k-1 {
 		return MapResult{}, false
 	}
 	// A true W×H mesh has exactly w(h-1)+h(w-1) edges; anything else can
@@ -43,7 +48,7 @@ func exactRectangle(phys *topo.Graph, free []topo.NodeID, req *topo.Graph, opt g
 	if len(anchors) < k {
 		return MapResult{}, false
 	}
-	sort.Slice(anchors, func(i, j int) bool { return anchors[i] < anchors[j] })
+	slices.Sort(anchors)
 
 	orients := [2]bool{false, true} // transposed?
 	for _, anchor := range anchors {
@@ -72,7 +77,7 @@ func exactRectangle(phys *topo.Graph, free []topo.NodeID, req *topo.Graph, opt g
 					if transposed {
 						vx, vy = dy, dx
 					}
-					nodes[cellOf[topo.Coord{X: vx, Y: vy}]] = p
+					nodes[cells[vy*w+vx]] = p
 				}
 			}
 			if !match {
@@ -95,43 +100,4 @@ func exactRectangle(phys *topo.Graph, free []topo.NodeID, req *topo.Graph, opt g
 		}
 	}
 	return MapResult{}, false
-}
-
-// meshGrid decodes the request's coordinate embedding as a full w×h grid:
-// every node carries a coordinate, the bounding box holds exactly k cells,
-// and each cell is claimed by exactly one node. It returns the cell →
-// virtual-core index map (coordinates normalized to origin).
-func meshGrid(req *topo.Graph) (cellOf map[topo.Coord]int, w, h int, ok bool) {
-	k := req.NumNodes()
-	if k == 0 {
-		return nil, 0, 0, false
-	}
-	min, max, has := topo.MeshBounds(req)
-	if !has {
-		return nil, 0, 0, false
-	}
-	w = max.X - min.X + 1
-	h = max.Y - min.Y + 1
-	if w*h != k {
-		return nil, 0, 0, false
-	}
-	cellOf = make(map[topo.Coord]int, k)
-	for _, id := range req.Nodes() {
-		// MapTopology validates dense 0..k-1 request IDs before any
-		// mapper runs; keep the guard anyway — cellOf indexes the vCore
-		// slice directly.
-		if int(id) < 0 || int(id) >= k {
-			return nil, 0, 0, false
-		}
-		c, has := req.CoordOf(id)
-		if !has {
-			return nil, 0, 0, false
-		}
-		cell := topo.Coord{X: c.X - min.X, Y: c.Y - min.Y}
-		if _, dup := cellOf[cell]; dup {
-			return nil, 0, 0, false
-		}
-		cellOf[cell] = int(id)
-	}
-	return cellOf, w, h, true
 }

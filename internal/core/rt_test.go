@@ -86,3 +86,92 @@ func TestRTVirtualCoresAndPhysicalNodes(t *testing.T) {
 		t.Fatalf("shaped VirtualCores = %v", vs2)
 	}
 }
+
+// refRectangleRowMajor is the parent's decision, verbatim: mesh-ness by
+// comparing WL signatures with a freshly built rows x cols mesh.
+func refRectangleRowMajor(phys, req *topo.Graph, nodes []topo.NodeID) (rows, cols int, ok bool) {
+	sub := phys.Induced(nodes)
+	min, max, has := topo.MeshBounds(sub)
+	if !has {
+		return 0, 0, false
+	}
+	rows = max.Y - min.Y + 1
+	cols = max.X - min.X + 1
+	if rows*cols != len(nodes) {
+		return 0, 0, false
+	}
+	if topo.Signature(req, 0) != topo.Signature(topo.Mesh2D(rows, cols), 0) {
+		return 0, 0, false
+	}
+	for v, p := range nodes {
+		c, has := phys.CoordOf(p)
+		if !has {
+			return 0, 0, false
+		}
+		if c.X != min.X+v%cols || c.Y != min.Y+v/cols {
+			return 0, 0, false
+		}
+	}
+	return rows, cols, true
+}
+
+// TestRoutingTableFormatChoice: the shaped single-entry format is chosen
+// exactly when the request is the full rows x cols mesh laid row-major on
+// an axis-aligned rectangle. The signature-based reference agrees on every
+// row except the relabelled meshes, which it cannot tell from the mesh.
+func TestRoutingTableFormatChoice(t *testing.T) {
+	phys := topo.Mesh2D(6, 6)
+	rect2x3 := []topo.NodeID{7, 8, 9, 13, 14, 15}
+
+	chord := topo.Mesh2D(2, 3)
+	chord.AddEdge(0, 4, topo.DefaultEdgeCost)
+	missing := topo.New()
+	for _, e := range topo.Mesh2D(2, 3).Edges() {
+		if e.A != 1 || e.B != 2 {
+			missing.AddEdge(e.A, e.B, e.Cost)
+		}
+	}
+	// The 2x3 mesh with virtual cores 0 and 1 swapped: isomorphic, but
+	// core 1 is now the corner and core 0 the middle of the top row.
+	relabelled := topo.New()
+	swap := func(id topo.NodeID) topo.NodeID {
+		if id <= 1 {
+			return 1 - id
+		}
+		return id
+	}
+	for _, e := range topo.Mesh2D(2, 3).Edges() {
+		relabelled.AddEdge(swap(e.A), swap(e.B), e.Cost)
+	}
+
+	for _, tc := range []struct {
+		name       string
+		req        *topo.Graph
+		nodes      []topo.NodeID
+		want       RTType
+		refIsWrong bool
+	}{
+		{"2x3 mesh", topo.Mesh2D(2, 3), rect2x3, RTShaped, false},
+		{"2x3 plus a chord", chord, rect2x3, RTStandard, false},
+		{"2x3 minus an edge", missing, rect2x3, RTStandard, false},
+		{"column-major order", topo.Mesh2D(2, 3), []topo.NodeID{7, 13, 8, 14, 9, 15}, RTStandard, false},
+		{"chain on a 1x4 strip", topo.Chain(4), []topo.NodeID{20, 21, 22, 23}, RTShaped, false},
+		{"L-shaped region", topo.NearMesh(5), []topo.NodeID{7, 8, 13, 14, 19}, RTStandard, false},
+		{"relabelled 2x3 mesh", relabelled, rect2x3, RTStandard, true},
+		{"3x2 request on a 2x3 rectangle", topo.Mesh2D(3, 2), rect2x3, RTStandard, true},
+	} {
+		rt := buildRoutingTable(1, phys, tc.req, tc.nodes, 6)
+		if rt.Type != tc.want {
+			t.Errorf("%s: %s table, want %s", tc.name, rt.Type, tc.want)
+		}
+		_, _, refShaped := refRectangleRowMajor(phys, tc.req, tc.nodes)
+		if refAgrees := refShaped == (tc.want == RTShaped); refAgrees == tc.refIsWrong {
+			t.Errorf("%s: reference shaped=%v, row says the reference is wrong: %v", tc.name, refShaped, tc.refIsWrong)
+		}
+		for v, p := range tc.nodes {
+			if got, err := rt.Lookup(isa.CoreID(v)); err != nil || got != p {
+				t.Errorf("%s: Lookup(%d) = %v, %v; want %v", tc.name, v, got, err, p)
+			}
+		}
+	}
+}

@@ -15,7 +15,7 @@ package ged
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/vnpu-sim/vnpu/internal/topo"
 )
@@ -95,66 +95,92 @@ func Distance(g1, g2 *topo.Graph, opt Options) (float64, Mapping) {
 // PathCost evaluates the total edit cost of a specific mapping — the cost of
 // the concrete edit path it induces. It is the objective both solvers
 // minimize and is exported so callers can score externally-produced
-// mappings (e.g. a zig-zag allocation).
+// mappings (e.g. a zig-zag allocation). Entries of m whose source is not
+// in g1 or whose target is not in g2 count as unmapped.
 func PathCost(g1, g2 *topo.Graph, m Mapping, opt Options) float64 {
-	return pathCost(g1, g2, graphView{g1.Nodes(), g1.Edges()}, graphView{g2.Nodes(), g2.Edges()}, m, opt.norm())
+	v1, v2 := topo.ViewOf(g1), topo.ViewOf(g2)
+	img := imageOf(v1, v2, m)
+	return pathCost(v1, v2, img, make([]int, len(v2.IDs)), opt.norm())
 }
 
-// graphView caches a graph's sorted node and edge slices so repeated
-// objective evaluations skip Graph.Nodes/Edges, which re-sort per call.
-type graphView struct {
-	nodes []topo.NodeID
-	edges []topo.Edge
+// imageOf turns a Mapping into its dense form: img[i] is the g2 position
+// hosting g1's node at position i, or -1 when that node is deleted.
+func imageOf(v1, v2 *topo.View, m Mapping) []int {
+	img := make([]int, len(v1.IDs))
+	for i, u := range v1.IDs {
+		img[i] = -1
+		if t, ok := m[u]; ok {
+			if p, ok := v2.Pos(t); ok {
+				img[i] = p
+			}
+		}
+	}
+	return img
 }
 
-func viewOf(g *topo.Graph) graphView { return graphView{g.Nodes(), g.Edges()} }
+// mappingOf is the inverse of imageOf.
+func mappingOf(v1, v2 *topo.View, img []int) Mapping {
+	m := make(Mapping, len(img))
+	for i, p := range img {
+		if p >= 0 {
+			m[v1.IDs[i]] = v2.IDs[p]
+		}
+	}
+	return m
+}
 
-// pathCost is PathCost with the node/edge slices hoisted and the options
-// already normalized: local-search refinement evaluates the objective
-// O(k²) times per pass over fixed graphs.
-func pathCost(g1, g2 *topo.Graph, v1, v2 graphView, m Mapping, opt Options) float64 {
+// pathCost is PathCost on the dense views with the options already
+// normalized: kinds, edges and costs are read by position, and inv (len
+// n2) is the caller's scratch for the inverse image, so local-search
+// refinement can evaluate the objective O(k²) times per pass without
+// allocating. The summation order is fixed — nodes of g1, nodes of g2,
+// edges of g1, edges of g2, each ascending — so equal mappings score
+// bit-identically however they were produced.
+func pathCost(v1, v2 *topo.View, img, inv []int, opt Options) float64 {
 	var cost float64
-	used := make(map[topo.NodeID]bool, len(m))
-
-	n1 := v1.nodes
-	for _, u := range n1 {
-		v, ok := m[u]
-		if !ok {
+	n1, n2 := len(v1.IDs), len(v2.IDs)
+	for j := range inv {
+		inv[j] = -1
+	}
+	for i, p := range img {
+		if p < 0 {
 			cost += opt.NodeInsDel // node deletion
 			continue
 		}
-		used[v] = true
-		cost += opt.NodeSubst(g1.KindOf(u), g2.KindOf(v))
+		inv[p] = i
+		cost += opt.NodeSubst(v1.Kinds[i], v2.Kinds[p])
 		if opt.ExtraNodePenalty != nil {
-			cost += opt.ExtraNodePenalty(u, v)
+			cost += opt.ExtraNodePenalty(v1.IDs[i], v2.IDs[p])
 		}
 	}
-	for _, v := range v2.nodes {
-		if !used[v] {
+	for _, i := range inv {
+		if i < 0 {
 			cost += opt.NodeInsDel // node insertion
 		}
 	}
 	// Edge deletions/substitutions: iterate g1 edges.
-	for _, e := range v1.edges {
-		va, aok := m[e.A]
-		vb, bok := m[e.B]
-		if aok && bok && g2.HasEdge(va, vb) {
-			continue // matched edge, substitution cost 0
+	for i := 0; i < n1; i++ {
+		for _, j := range v1.Nbrs[i] {
+			if j < i {
+				continue
+			}
+			if pa, pb := img[i], img[j]; pa >= 0 && pb >= 0 && v2.Cost[pa*n2+pb] != 0 {
+				continue // matched edge, substitution cost 0
+			}
+			cost += opt.EdgeDel(v1.Cost[i*n1+j])
 		}
-		cost += opt.EdgeDel(e.Cost)
 	}
 	// Edge insertions: g2 edges with no matched preimage.
-	inv := make(map[topo.NodeID]topo.NodeID, len(m))
-	for u, v := range m {
-		inv[v] = u
-	}
-	for _, e := range v2.edges {
-		ua, aok := inv[e.A]
-		ub, bok := inv[e.B]
-		if aok && bok && g1.HasEdge(ua, ub) {
-			continue
+	for i := 0; i < n2; i++ {
+		for _, j := range v2.Nbrs[i] {
+			if j < i {
+				continue
+			}
+			if ua, ub := inv[i], inv[j]; ua >= 0 && ub >= 0 && v1.Cost[ua*n1+ub] != 0 {
+				continue
+			}
+			cost += opt.EdgeIns(v2.Cost[i*n2+j])
 		}
-		cost += opt.EdgeIns(e.Cost)
 	}
 	return cost
 }
@@ -165,144 +191,153 @@ func pathCost(g1, g2 *topo.Graph, v1, v2 graphView, m Mapping, opt Options) floa
 // search space explodes.
 func Exact(g1, g2 *topo.Graph, opt Options) (float64, Mapping) {
 	opt = opt.norm()
-	n1 := g1.Nodes()
-	n2 := g2.Nodes()
-
-	bestCost, bestMap := Approx(g1, g2, opt)
-
-	// assigned[i] = index into n2, or -1 for deletion.
-	assigned := make([]int, len(n1))
-	usedV := make([]bool, len(n2))
-
-	// stepCost computes the incremental cost of assigning n1[i] -> choice
-	// (index in n2, or -1), given assignments 0..i-1.
-	stepCost := func(i, choice int) float64 {
-		var c float64
-		u := n1[i]
-		if choice < 0 {
-			c += opt.NodeInsDel
-		} else {
-			v := n2[choice]
-			c += opt.NodeSubst(g1.KindOf(u), g2.KindOf(v))
-			if opt.ExtraNodePenalty != nil {
-				c += opt.ExtraNodePenalty(u, v)
-			}
-		}
-		for j := 0; j < i; j++ {
-			uj := n1[j]
-			w1, has1 := g1.EdgeCost(u, uj)
-			var has2 bool
-			var w2 float64
-			if choice >= 0 && assigned[j] >= 0 {
-				w2, has2 = g2.EdgeCost(n2[choice], n2[assigned[j]])
-			}
-			switch {
-			case has1 && !has2:
-				c += opt.EdgeDel(w1)
-			case !has1 && has2:
-				c += opt.EdgeIns(w2)
-			}
-		}
-		return c
+	v1, v2 := topo.ViewOf(g1), topo.ViewOf(g2)
+	bestCost, bestImg := approx(v1, v2, opt)
+	s := exactSearch{
+		v1: v1, v2: v2, opt: opt,
+		n1: len(v1.IDs), n2: len(v2.IDs),
+		bestCost: bestCost,
+		bestImg:  bestImg,
 	}
-
-	// completionCost: all n1 nodes assigned; remaining unused n2 nodes are
-	// inserted along with their edges to used/inserted nodes.
-	completionCost := func() float64 {
-		var c float64
-		inserted := make([]topo.NodeID, 0)
-		for j, used := range usedV {
-			if !used {
-				c += opt.NodeInsDel
-				inserted = append(inserted, n2[j])
-			}
-		}
-		isInserted := make(map[topo.NodeID]bool, len(inserted))
-		for _, v := range inserted {
-			isInserted[v] = true
-		}
-		for _, v := range inserted {
-			for _, nb := range g2.Neighbors(v) {
-				if isInserted[nb] {
-					if v < nb { // count inserted-inserted edges once
-						w, _ := g2.EdgeCost(v, nb)
-						c += opt.EdgeIns(w)
-					}
-					continue
-				}
-				w, _ := g2.EdgeCost(v, nb)
-				c += opt.EdgeIns(w)
-			}
-		}
-		return c
+	s.assigned = make([]int, s.n1)
+	for i := range s.assigned {
+		s.assigned[i] = -1
 	}
+	s.usedV = make([]bool, s.n2)
+	s.free2 = s.n2
+	// One candidate list per depth: the loop over depth i's choices is
+	// still running while depth i+1 builds its own.
+	s.cands = make([]exactCand, (s.n1+1)*(s.n2+1))
+	s.dfs(0, 0)
+	return s.bestCost, mappingOf(v1, v2, s.bestImg)
+}
 
+// exactSearch is the state of one Exact call: the two views, the partial
+// assignment and the scratch the depth-first search reuses at every node
+// it expands.
+type exactSearch struct {
+	v1, v2 *topo.View
+	opt    Options
+	n1, n2 int
+
+	assigned []int  // assigned[i] = position in g2, or -1 for deletion
+	usedV    []bool // g2 positions taken
+	free2    int    // g2 positions not taken
+	cands    []exactCand
+
+	bestCost float64
+	bestImg  []int
+}
+
+type exactCand struct {
+	choice int
+	cost   float64
+}
+
+// stepCost computes the incremental cost of assigning g1 position i to
+// choice (a g2 position, or -1), given assignments 0..i-1.
+func (s *exactSearch) stepCost(i, choice int) float64 {
+	var c float64
+	opt := &s.opt
+	if choice < 0 {
+		c += opt.NodeInsDel
+	} else {
+		c += opt.NodeSubst(s.v1.Kinds[i], s.v2.Kinds[choice])
+		if opt.ExtraNodePenalty != nil {
+			c += opt.ExtraNodePenalty(s.v1.IDs[i], s.v2.IDs[choice])
+		}
+	}
+	row1 := s.v1.Cost[i*s.n1 : i*s.n1+i]
+	for j, w1 := range row1 {
+		var w2 float64
+		if choice >= 0 && s.assigned[j] >= 0 {
+			w2 = s.v2.Cost[choice*s.n2+s.assigned[j]]
+		}
+		switch {
+		case w1 != 0 && w2 == 0:
+			c += opt.EdgeDel(w1)
+		case w1 == 0 && w2 != 0:
+			c += opt.EdgeIns(w2)
+		}
+	}
+	return c
+}
+
+// completionCost: all g1 nodes assigned; remaining unused g2 nodes are
+// inserted along with their edges to used/inserted nodes.
+func (s *exactSearch) completionCost() float64 {
+	var c float64
+	for _, used := range s.usedV {
+		if !used {
+			c += s.opt.NodeInsDel
+		}
+	}
+	for v, used := range s.usedV {
+		if used {
+			continue
+		}
+		for _, nb := range s.v2.Nbrs[v] {
+			if !s.usedV[nb] && nb < v {
+				continue // count inserted-inserted edges once
+			}
+			c += s.opt.EdgeIns(s.v2.Cost[v*s.n2+nb])
+		}
+	}
+	return c
+}
+
+func (s *exactSearch) dfs(i int, acc float64) {
 	// Admissible remaining-cost lower bound: node count imbalance only.
-	lowerBound := func(i int) float64 {
-		rem1 := len(n1) - i
-		rem2 := 0
-		for _, used := range usedV {
-			if !used {
-				rem2++
-			}
-		}
-		diff := rem1 - rem2
-		if diff < 0 {
-			diff = -diff
-		}
-		return float64(diff) * opt.NodeInsDel
+	diff := (s.n1 - i) - s.free2
+	if diff < 0 {
+		diff = -diff
 	}
+	if acc+float64(diff)*s.opt.NodeInsDel >= s.bestCost {
+		return
+	}
+	if i == s.n1 {
+		if total := acc + s.completionCost(); total < s.bestCost {
+			s.bestCost = total
+			s.bestImg = append(s.bestImg[:0], s.assigned...)
+		}
+		return
+	}
+	// Order candidate choices by incremental cost so good solutions are
+	// found early and pruning bites: ascending position, deletion last,
+	// stably insertion-sorted by cost.
+	cands := s.cands[i*(s.n2+1) : i*(s.n2+1)]
+	for j, used := range s.usedV {
+		if !used {
+			cands = insertCand(cands, exactCand{j, s.stepCost(i, j)})
+		}
+	}
+	cands = insertCand(cands, exactCand{-1, s.stepCost(i, -1)})
+	for _, cd := range cands {
+		s.assigned[i] = cd.choice
+		if cd.choice >= 0 {
+			s.usedV[cd.choice] = true
+			s.free2--
+		}
+		s.dfs(i+1, acc+cd.cost)
+		if cd.choice >= 0 {
+			s.usedV[cd.choice] = false
+			s.free2++
+		}
+	}
+	s.assigned[i] = -1
+}
 
-	var dfs func(i int, acc float64)
-	dfs = func(i int, acc float64) {
-		if acc+lowerBound(i) >= bestCost {
-			return
-		}
-		if i == len(n1) {
-			total := acc + completionCost()
-			if total < bestCost {
-				bestCost = total
-				m := make(Mapping, len(n1))
-				for k, ch := range assigned {
-					if ch >= 0 {
-						m[n1[k]] = n2[ch]
-					}
-				}
-				bestMap = m
-			}
-			return
-		}
-		// Order candidate choices by incremental cost so good solutions are
-		// found early and pruning bites.
-		type cand struct {
-			choice int
-			cost   float64
-		}
-		cands := make([]cand, 0, len(n2)+1)
-		for j := range n2 {
-			if !usedV[j] {
-				cands = append(cands, cand{j, stepCost(i, j)})
-			}
-		}
-		cands = append(cands, cand{-1, stepCost(i, -1)})
-		sort.SliceStable(cands, func(a, b int) bool { return cands[a].cost < cands[b].cost })
-		for _, cd := range cands {
-			assigned[i] = cd.choice
-			if cd.choice >= 0 {
-				usedV[cd.choice] = true
-			}
-			dfs(i+1, acc+cd.cost)
-			if cd.choice >= 0 {
-				usedV[cd.choice] = false
-			}
-		}
-		assigned[i] = -1
+// insertCand appends c and sifts it left past strictly costlier entries —
+// a stable sort by cost, one element at a time.
+func insertCand(cands []exactCand, c exactCand) []exactCand {
+	cands = append(cands, c)
+	k := len(cands) - 1
+	for k > 0 && cands[k-1].cost > c.cost {
+		cands[k] = cands[k-1]
+		k--
 	}
-	for i := range assigned {
-		assigned[i] = -1
-	}
-	dfs(0, 0)
-	return bestCost, bestMap
+	cands[k] = c
+	return cands
 }
 
 // Refine improves a mapping by deterministic local search: it repeatedly
@@ -316,44 +351,44 @@ func Exact(g1, g2 *topo.Graph, opt Options) (float64, Mapping) {
 // directly decides virtual-to-physical core placement.
 func Refine(g1, g2 *topo.Graph, m Mapping, opt Options, maxPasses int) (float64, Mapping) {
 	opt = opt.norm()
-	cur := make(Mapping, len(m))
-	for k, v := range m {
-		cur[k] = v
-	}
-	v1, v2 := viewOf(g1), viewOf(g2)
-	cost := pathCost(g1, g2, v1, v2, cur, opt)
-	n1 := v1.nodes
+	v1, v2 := topo.ViewOf(g1), topo.ViewOf(g2)
+	cur := imageOf(v1, v2, m)
+	inv := make([]int, len(v2.IDs))
+	cost := pathCost(v1, v2, cur, inv, opt)
 	if maxPasses <= 0 {
 		maxPasses = 4
 	}
+	used := make([]bool, len(v2.IDs))
+	var freeT []int
 	for pass := 0; pass < maxPasses; pass++ {
 		improved := false
-		// Unused target nodes (recomputed per pass).
-		used := make(map[topo.NodeID]bool, len(cur))
-		for _, v := range cur {
-			used[v] = true
+		// Unused target positions (recomputed per pass).
+		for j := range used {
+			used[j] = false
 		}
-		var freeT []topo.NodeID
-		for _, v := range v2.nodes {
-			if !used[v] {
-				freeT = append(freeT, v)
+		for _, p := range cur {
+			if p >= 0 {
+				used[p] = true
 			}
 		}
-		for i := 0; i < len(n1); i++ {
-			a := n1[i]
-			va, hasA := cur[a]
-			if !hasA {
+		freeT = freeT[:0]
+		for j, u := range used {
+			if !u {
+				freeT = append(freeT, j)
+			}
+		}
+		for a, va := range cur {
+			if va < 0 {
 				continue
 			}
 			// Swap with a later mapped node.
-			for j := i + 1; j < len(n1); j++ {
-				b := n1[j]
-				vb, hasB := cur[b]
-				if !hasB {
+			for b := a + 1; b < len(cur); b++ {
+				vb := cur[b]
+				if vb < 0 {
 					continue
 				}
 				cur[a], cur[b] = vb, va
-				if c := pathCost(g1, g2, v1, v2, cur, opt); c < cost {
+				if c := pathCost(v1, v2, cur, inv, opt); c < cost {
 					cost = c
 					va = vb
 					improved = true
@@ -364,7 +399,7 @@ func Refine(g1, g2 *topo.Graph, m Mapping, opt Options, maxPasses int) (float64,
 			// Relocate to an unused target.
 			for k, vt := range freeT {
 				cur[a] = vt
-				if c := pathCost(g1, g2, v1, v2, cur, opt); c < cost {
+				if c := pathCost(v1, v2, cur, inv, opt); c < cost {
 					cost = c
 					freeT[k] = va
 					va = vt
@@ -378,7 +413,7 @@ func Refine(g1, g2 *topo.Graph, m Mapping, opt Options, maxPasses int) (float64,
 			break
 		}
 	}
-	return cost, cur
+	return cost, mappingOf(v1, v2, cur)
 }
 
 // LowerBounder computes admissible lower bounds on the edit distance from
@@ -417,33 +452,37 @@ func NewLowerBounder(g1 *topo.Graph, opt Options) *LowerBounder {
 		n1:         g1.NumNodes(),
 		minW1:      math.Inf(1),
 	}
-	for _, id := range g1.Nodes() {
-		lb.deg1 = append(lb.deg1, g1.Degree(id))
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(lb.deg1)))
-	for _, e := range g1.Edges() {
-		if e.Cost < lb.minW1 {
-			lb.minW1 = e.Cost
+	v1 := topo.ViewOf(g1)
+	lb.deg1 = degreesDesc(v1)
+	lb.minW1 = minEdgeCost(v1, lb.minW1)
+	return lb
+}
+
+// degreesDesc returns the view's degree sequence, descending.
+func degreesDesc(v *topo.View) []int {
+	deg := slices.Clone(v.Deg)
+	slices.Sort(deg)
+	slices.Reverse(deg)
+	return deg
+}
+
+// minEdgeCost returns the smaller of min and the view's cheapest edge.
+func minEdgeCost(v *topo.View, min float64) float64 {
+	for _, e := range v.Edges {
+		if e.Cost < min {
+			min = e.Cost
 		}
 	}
-	return lb
+	return min
 }
 
 // Bound returns the admissible lower bound on the exact edit distance
 // from the bounder's g1 to g2.
 func (lb *LowerBounder) Bound(g2 *topo.Graph) float64 {
-	n2 := g2.NumNodes()
-	deg2 := make([]int, 0, n2)
-	minW := lb.minW1
-	for _, id := range g2.Nodes() {
-		deg2 = append(deg2, g2.Degree(id))
-	}
-	for _, e := range g2.Edges() {
-		if e.Cost < minW {
-			minW = e.Cost
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(deg2)))
+	v2 := topo.ViewOf(g2)
+	n2 := len(v2.IDs)
+	deg2 := degreesDesc(v2)
+	minW := minEdgeCost(v2, lb.minW1)
 
 	diff := lb.n1 - n2
 	if diff < 0 {
@@ -478,35 +517,41 @@ func (lb *LowerBounder) Bound(g2 *topo.Graph) float64 {
 // optimally with the Hungarian algorithm, and the induced edit path is then
 // scored exactly with PathCost.
 func Approx(g1, g2 *topo.Graph, opt Options) (float64, Mapping) {
-	opt = opt.norm()
-	n1 := g1.Nodes()
-	n2 := g2.Nodes()
-	n := len(n1) + len(n2)
+	v1, v2 := topo.ViewOf(g1), topo.ViewOf(g2)
+	cost, img := approx(v1, v2, opt.norm())
+	return cost, mappingOf(v1, v2, img)
+}
+
+// approx is Approx on the dense views, options normalized, returning the
+// assignment in image form.
+func approx(v1, v2 *topo.View, opt Options) (float64, []int) {
+	n1, n2 := len(v1.IDs), len(v2.IDs)
+	n := n1 + n2
 	if n == 0 {
-		return 0, Mapping{}
+		return 0, nil
 	}
 
 	const inf = math.MaxFloat64 / 4
+	flat := make([]float64, n*n)
 	cost := make([][]float64, n)
 	for i := range cost {
-		cost[i] = make([]float64, n)
+		cost[i] = flat[i*n : (i+1)*n]
 	}
-	avgEdge := func(g *topo.Graph, id topo.NodeID, f func(float64) float64) float64 {
+	avgEdge := func(v *topo.View, p int, f func(float64) float64) float64 {
 		var s float64
-		for _, nb := range g.Neighbors(id) {
-			w, _ := g.EdgeCost(id, nb)
-			s += f(w)
+		for _, nb := range v.Nbrs[p] {
+			s += f(v.Cost[p*len(v.IDs)+nb])
 		}
 		return s / 2 // each unmatched edge is counted at both endpoints
 	}
-	for i, u := range n1 {
-		for j, v := range n2 {
-			c := opt.NodeSubst(g1.KindOf(u), g2.KindOf(v))
+	for i := 0; i < n1; i++ {
+		for j := 0; j < n2; j++ {
+			c := opt.NodeSubst(v1.Kinds[i], v2.Kinds[j])
 			if opt.ExtraNodePenalty != nil {
-				c += opt.ExtraNodePenalty(u, v)
+				c += opt.ExtraNodePenalty(v1.IDs[i], v2.IDs[j])
 			}
 			// Local structure estimate: degree imbalance costs edge edits.
-			d1, d2 := g1.Degree(u), g2.Degree(v)
+			d1, d2 := v1.Deg[i], v2.Deg[j]
 			if d1 > d2 {
 				c += float64(d1-d2) * 0.5
 			} else {
@@ -514,34 +559,32 @@ func Approx(g1, g2 *topo.Graph, opt Options) (float64, Mapping) {
 			}
 			cost[i][j] = c
 		}
-		for j := range n1 { // deletion block
+		for j := 0; j < n1; j++ { // deletion block
 			if i == j {
-				cost[i][len(n2)+j] = opt.NodeInsDel + avgEdge(g1, u, opt.EdgeDel)
+				cost[i][n2+j] = opt.NodeInsDel + avgEdge(v1, i, opt.EdgeDel)
 			} else {
-				cost[i][len(n2)+j] = inf
+				cost[i][n2+j] = inf
 			}
 		}
 	}
-	for i := range n2 { // insertion block
-		for j, v := range n2 {
+	for i := 0; i < n2; i++ { // insertion block
+		for j := 0; j < n2; j++ {
 			if i == j {
-				cost[len(n1)+i][j] = opt.NodeInsDel + avgEdge(g2, v, opt.EdgeIns)
+				cost[n1+i][j] = opt.NodeInsDel + avgEdge(v2, j, opt.EdgeIns)
 			} else {
-				cost[len(n1)+i][j] = inf
+				cost[n1+i][j] = inf
 			}
 		}
-		// epsilon-to-epsilon corner: free
-		for j := range n1 {
-			cost[len(n1)+i][len(n2)+j] = 0
-		}
+		// The epsilon-to-epsilon corner stays 0: free.
 	}
 
 	assign := hungarian(cost)
-	m := make(Mapping)
-	for i, u := range n1 {
-		if j := assign[i]; j < len(n2) {
-			m[u] = n2[j]
+	img := make([]int, n1)
+	for i := range img {
+		img[i] = -1
+		if j := assign[i]; j < n2 {
+			img[i] = j
 		}
 	}
-	return PathCost(g1, g2, m, opt), m
+	return pathCost(v1, v2, img, make([]int, n2), opt), img
 }

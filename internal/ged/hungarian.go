@@ -19,14 +19,15 @@ func hungarian(cost [][]float64) []int {
 	v := make([]float64, n+1)
 	p := make([]int, n+1)
 	way := make([]int, n+1)
+	minv := make([]float64, n+1)
+	used := make([]bool, n+1)
 
 	for i := 1; i <= n; i++ {
 		p[0] = i
 		j0 := 0
-		minv := make([]float64, n+1)
-		used := make([]bool, n+1)
 		for j := 0; j <= n; j++ {
 			minv[j] = inf
+			used[j] = false
 		}
 		for {
 			used[j0] = true

@@ -26,11 +26,12 @@
 package place
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -143,7 +144,7 @@ func (cs *chipState) freeListLocked() []topo.NodeID {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -162,22 +163,9 @@ func (cs *chipState) allFreeLocked(nodes []topo.NodeID) bool {
 // relabeling-invariant and collision-tolerant by design, while a cached
 // assignment (Nodes[v] indexed by virtual core ID) is labeling-dependent:
 // two isomorphic-but-relabeled requests need different entries or one
-// would be served the other's virtual-to-physical wiring.
-func canonicalKey(g *topo.Graph) string {
-	var sb strings.Builder
-	for _, id := range g.Nodes() {
-		fmt.Fprintf(&sb, "%d:%s", id, g.KindOf(id))
-		if c, ok := g.CoordOf(id); ok {
-			fmt.Fprintf(&sb, "@%d,%d", c.X, c.Y)
-		}
-		sb.WriteByte(';')
-	}
-	sb.WriteByte('|')
-	for _, e := range g.Edges() {
-		fmt.Fprintf(&sb, "%d-%d:%g;", e.A, e.B, e.Cost)
-	}
-	return sb.String()
-}
+// would be served the other's virtual-to-physical wiring. The encoding is
+// derived once per graph, on its view.
+func canonicalKey(g *topo.Graph) string { return topo.ViewOf(g).CanonicalKey() }
 
 // CanonicalKey is the exact, labeling-sensitive topology encoding used
 // for cache keys (see canonicalKey). The session pool shares it so two
@@ -854,13 +842,19 @@ func (e *Engine) placeCached(req Request, account bool) []Candidate {
 		e.stats.PlaceTime += e.clk.Since(start)
 	}
 	e.mu.Unlock()
-	sort.SliceStable(cands, func(a, b int) bool {
-		if cands[a].Cost != cands[b].Cost {
-			return cands[a].Cost < cands[b].Cost
-		}
-		return cands[a].Price < cands[b].Price
-	})
+	sortCandidates(cands)
 	return cands
+}
+
+// sortCandidates orders candidates best first: minimum edit distance,
+// then minimum price, chip order kept among equals.
+func sortCandidates(cands []Candidate) {
+	slices.SortStableFunc(cands, func(a, b Candidate) int {
+		if c := cmp.Compare(a.Cost, b.Cost); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Price, b.Price)
+	})
 }
 
 // Place ranks every chip that can host the request, best first: minimum
@@ -961,12 +955,7 @@ func (e *Engine) rank(req Request) ([]Candidate, error) {
 			Price: e.chips[i].profile.PlacementPrice(k),
 		})
 	}
-	sort.SliceStable(cands, func(a, b int) bool {
-		if cands[a].Cost != cands[b].Cost {
-			return cands[a].Cost < cands[b].Cost
-		}
-		return cands[a].Price < cands[b].Price
-	})
+	sortCandidates(cands)
 
 	if len(cands) == 0 {
 		if lastErr == nil {

@@ -1,9 +1,6 @@
 package topo
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
 // bitset is a fixed-width bit vector over dense node positions. The
 // candidate enumerators use it so their inner loops (membership tests,
@@ -92,100 +89,4 @@ func (b bitset) forEach(fn func(i int) bool) {
 			w &= w - 1
 		}
 	}
-}
-
-// denseIndex maps a graph's node IDs onto contiguous positions 0..n-1 in
-// ascending ID order, with a bitset adjacency row and a sorted neighbor
-// list per node, computed once per enumeration call instead of re-sorting
-// Graph.Neighbors in every inner loop.
-type denseIndex struct {
-	ids  []NodeID // position -> NodeID, ascending
-	pos  map[NodeID]int
-	adj  []bitset // adjacency rows over positions
-	nbrs [][]int  // sorted neighbor positions
-}
-
-func newDenseIndex(g *Graph) *denseIndex {
-	ids := g.Nodes()
-	di := &denseIndex{
-		ids:  ids,
-		pos:  make(map[NodeID]int, len(ids)),
-		adj:  make([]bitset, len(ids)),
-		nbrs: make([][]int, len(ids)),
-	}
-	for i, id := range ids {
-		di.pos[id] = i
-	}
-	for i, id := range ids {
-		row := newBitset(len(ids))
-		var nb []int
-		for _, n := range g.Neighbors(id) {
-			p := di.pos[n]
-			row.set(p)
-			nb = append(nb, p)
-		}
-		// Graph.Neighbors is ascending by NodeID, which is ascending by
-		// position too.
-		di.adj[i] = row
-		di.nbrs[i] = nb
-	}
-	return di
-}
-
-// allowedSet builds the bitset of allowed positions (ignoring IDs the
-// graph does not contain, matching the enumerators' historical behavior).
-func (di *denseIndex) allowedSet(allowed []NodeID) bitset {
-	ok := newBitset(len(di.ids))
-	for _, id := range allowed {
-		if p, has := di.pos[id]; has {
-			ok.set(p)
-		}
-	}
-	return ok
-}
-
-// componentSizes labels the connected components of the subgraph induced
-// by ok and returns, per position, the size of its component (0 for
-// positions outside ok). The enumerators prune frontiers with it: a seed
-// whose free component holds fewer than k nodes can never grow a size-k
-// region, so the entire component is skipped before any growth work.
-func (di *denseIndex) componentSizes(ok bitset) []int {
-	size := make([]int, len(di.ids))
-	visited := newBitset(len(di.ids))
-	var stack []int
-	ok.forEach(func(seed int) bool {
-		if visited.test(seed) {
-			return true
-		}
-		stack = append(stack[:0], seed)
-		visited.set(seed)
-		comp := []int{seed}
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, nb := range di.nbrs[cur] {
-				if ok.test(nb) && !visited.test(nb) {
-					visited.set(nb)
-					stack = append(stack, nb)
-					comp = append(comp, nb)
-				}
-			}
-		}
-		for _, p := range comp {
-			size[p] = len(comp)
-		}
-		return true
-	})
-	return size
-}
-
-// sortedIDs converts a set of positions into the ascending NodeID slice
-// the enumerators report.
-func (di *denseIndex) sortedIDs(positions []int) []NodeID {
-	out := make([]NodeID, len(positions))
-	for i, p := range positions {
-		out[i] = di.ids[p]
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }

@@ -1,10 +1,12 @@
 package topo
 
+import "slices"
+
 // ConnectedSubgraphs enumerates the node sets of connected induced
 // subgraphs of size k restricted to the allowed nodes. Each set is reported
 // exactly once, in a deterministic order, using the ESU (Wernicke)
 // enumeration scheme. Enumeration stops once limit sets have been produced;
-// complete reports whether the enumeration finished exhaustively.
+// complete reports whether those were all of them.
 //
 // This implements the candidate-generation step of the paper's topology
 // mapping algorithm (Algorithm 1, lines 20–29): candidate topologies are
@@ -14,60 +16,66 @@ package topo
 // recursion — both cut the constant cost of a mapping miss without
 // changing the enumerated sets or their order.
 func ConnectedSubgraphs(g *Graph, allowed []NodeID, k, limit int) (sets [][]NodeID, complete bool) {
-	return NewHost(g).ConnectedSubgraphs(allowed, k, limit)
+	complete = ViewOf(g).VisitConnectedSubgraphs(allowed, k, limit, func(ids []NodeID) bool {
+		sets = append(sets, slices.Clone(ids))
+		return true
+	})
+	return sets, complete
 }
 
-// Host owns the dense node index of one physical graph, shared across
-// the enumerators and the subgraph signer so one mapping miss builds it
-// once instead of per call. The graph must not be mutated while the
-// Host is in use. Not safe for concurrent use.
-type Host struct {
-	g  *Graph
-	di *denseIndex
-}
-
-// NewHost indexes the graph.
-func NewHost(g *Graph) *Host { return &Host{g: g, di: newDenseIndex(g)} }
-
-// ConnectedSubgraphs is the method form of the package function, on the
-// host's shared index.
-func (h *Host) ConnectedSubgraphs(allowed []NodeID, k, limit int) (sets [][]NodeID, complete bool) {
+// VisitConnectedSubgraphs is the streaming form of ConnectedSubgraphs:
+// visit is called with each set in enumeration order, IDs ascending, in a
+// buffer that is reused for the next set — copy it to keep it. visit
+// returning false stops the enumeration. At most limit sets are visited
+// (a negative limit means no cap); complete is false only when the limit
+// cut the walk short, that is, when a set beyond it exists — a walk that
+// visit stopped, or that ended exactly at the limit, reports true.
+func (v *View) VisitConnectedSubgraphs(allowed []NodeID, k, limit int, visit func(ids []NodeID) bool) (complete bool) {
 	if k <= 0 || limit == 0 {
-		return nil, true
+		return true
 	}
-	di := h.di
-	ok := di.allowedSet(allowed)
-	comp := di.componentSizes(ok)
+	n := len(v.IDs)
+	ok := v.allowedSet(allowed)
+	comp := v.componentSizes(ok)
 
+	visited := 0
 	complete = true
-	sub := make([]int, 0, k)
-	inSub := newBitset(len(di.ids))
-	subAdj := newBitset(len(di.ids)) // union of adjacency rows of sub
-	inExt := newBitset(len(di.ids))
-	// Per-depth snapshots of subAdj (recursion depth is bounded by k);
-	// allocating in the extension loop would churn thousands of short-
-	// lived bitsets per miss.
+	ids := make([]NodeID, 0, k)
+	size := 0 // nodes in the current subgraph
+	inSub := newBitset(n)
+	subAdj := newBitset(n) // union of adjacency rows of the subgraph
+	inExt := newBitset(n)
+	// Per-depth scratch (recursion depth is bounded by k): a snapshot of
+	// subAdj and the extension set handed to the next level. Allocating
+	// either in the extension loop would churn thousands of short-lived
+	// slices per miss.
 	saved := make([]bitset, k+1)
+	exts := make([][]int, k+1)
 	for i := range saved {
-		saved[i] = newBitset(len(di.ids))
+		saved[i] = newBitset(n)
 	}
 
 	var extend func(root int, ext []int) bool
 	extend = func(root int, ext []int) bool {
-		if len(sub) == k {
-			sets = append(sets, di.sortedIDs(sub))
-			return limit < 0 || len(sets) < limit
+		if size == k {
+			if visited == limit {
+				complete = false
+				return false
+			}
+			visited++
+			ids = v.appendIDs(ids[:0], inSub)
+			return visit(ids)
 		}
+		depth := size
 		for i := 0; i < len(ext); i++ {
 			w := ext[i]
 			// Extension set for the recursive call: remaining candidates plus
 			// w's exclusive neighbors (> root, allowed, not adjacent to or in sub).
-			next := make([]int, 0, len(ext)-i-1+len(di.nbrs[w]))
-			next = append(next, ext[i+1:]...)
+			next := append(exts[depth][:0], ext[i+1:]...)
 			for _, p := range next {
 				inExt.set(p)
 			}
-			for _, u := range di.nbrs[w] {
+			for _, u := range v.Nbrs[w] {
 				if u <= root || !ok.test(u) || inSub.test(u) || inExt.test(u) {
 					continue
 				}
@@ -79,15 +87,15 @@ func (h *Host) ConnectedSubgraphs(allowed []NodeID, k, limit int) (sets [][]Node
 			for _, p := range ext[i+1:] {
 				inExt.clear(p)
 			}
-			depth := len(sub)
+			exts[depth] = next
 			copy(saved[depth], subAdj)
-			sub = append(sub, w)
+			size++
 			inSub.set(w)
-			for wi, word := range di.adj[w] {
+			for wi, word := range v.adj[w] {
 				subAdj[wi] |= word
 			}
 			cont := extend(root, next)
-			sub = sub[:len(sub)-1]
+			size--
 			inSub.clear(w)
 			copy(subAdj, saved[depth])
 			if !cont {
@@ -97,31 +105,31 @@ func (h *Host) ConnectedSubgraphs(allowed []NodeID, k, limit int) (sets [][]Node
 		return true
 	}
 
-	for root := range di.ids {
+	var rootExt []int
+	for root := range v.IDs {
 		if !ok.test(root) || comp[root] < k {
 			continue
 		}
-		var ext []int
-		for _, nb := range di.nbrs[root] {
+		rootExt = rootExt[:0]
+		for _, nb := range v.Nbrs[root] {
 			if nb > root && ok.test(nb) {
-				ext = append(ext, nb)
+				rootExt = append(rootExt, nb)
 			}
 		}
-		sub = append(sub[:0], root)
+		size = 1
 		inSub.set(root)
-		copy(subAdj, di.adj[root])
-		cont := extend(root, ext)
-		sub = sub[:0]
+		copy(subAdj, v.adj[root])
+		cont := extend(root, rootExt)
+		size = 0
 		inSub.clear(root)
 		for wi := range subAdj {
 			subAdj[wi] = 0
 		}
 		if !cont {
-			complete = false
 			break
 		}
 	}
-	return sets, complete
+	return complete
 }
 
 // GrowRegions produces candidate connected regions of size k within the
@@ -140,21 +148,19 @@ func (h *Host) ConnectedSubgraphs(allowed []NodeID, k, limit int) (sets [][]Node
 // growth could never reach size k), and the region/frontier state is
 // bitset-encoded; neither changes the produced regions.
 func GrowRegions(g *Graph, allowed []NodeID, k int) [][]NodeID {
-	return NewHost(g).GrowRegions(allowed, k)
+	return ViewOf(g).GrowRegions(allowed, k)
 }
 
-// GrowRegions is the method form of the package function, on the host's
-// shared index.
-func (h *Host) GrowRegions(allowed []NodeID, k int) [][]NodeID {
+// GrowRegions is the method form of the package function.
+func (v *View) GrowRegions(allowed []NodeID, k int) [][]NodeID {
 	if k <= 0 {
 		return nil
 	}
-	di := h.di
-	ok := di.allowedSet(allowed)
+	ok := v.allowedSet(allowed)
 	if ok.count() < k {
 		return nil
 	}
-	comp := di.componentSizes(ok)
+	comp := v.componentSizes(ok)
 
 	type priority int
 	const (
@@ -164,13 +170,12 @@ func (h *Host) GrowRegions(allowed []NodeID, k int) [][]NodeID {
 		numPriorities
 	)
 
-	in := newBitset(len(di.ids))
-	frontier := newBitset(len(di.ids))
-	region := make([]int, 0, k)
+	in := newBitset(len(v.IDs))
+	frontier := newBitset(len(v.IDs))
 
 	seen := make(map[string]bool)
 	var out [][]NodeID
-	for seed := range di.ids {
+	for seed := range v.IDs {
 		if !ok.test(seed) || comp[seed] < k {
 			continue
 		}
@@ -179,9 +184,9 @@ func (h *Host) GrowRegions(allowed []NodeID, k int) [][]NodeID {
 				in[i], frontier[i] = 0, 0
 			}
 			in.set(seed)
-			region = append(region[:0], seed)
-			frontier.orAndNot(di.adj[seed], ok, in)
-			for len(region) < k && frontier.any() {
+			size := 1
+			frontier.orAndNot(v.adj[seed], ok, in)
+			for size < k && frontier.any() {
 				var chosen int
 				switch p {
 				case sweep:
@@ -189,17 +194,17 @@ func (h *Host) GrowRegions(allowed []NodeID, k int) [][]NodeID {
 				case antiSweep:
 					chosen = frontier.max()
 				default:
-					chosen = mostConnectedBits(di, frontier, in)
+					chosen = mostConnectedBits(v, frontier, in)
 				}
 				frontier.clear(chosen)
 				in.set(chosen)
-				region = append(region, chosen)
-				frontier.orAndNot(di.adj[chosen], ok, in)
+				size++
+				frontier.orAndNot(v.adj[chosen], ok, in)
 			}
-			if len(region) != k {
+			if size != k {
 				continue
 			}
-			ids := di.sortedIDs(region)
+			ids := v.appendIDs(make([]NodeID, 0, k), in)
 			key := setKey(ids)
 			if !seen[key] {
 				seen[key] = true
@@ -213,11 +218,11 @@ func (h *Host) GrowRegions(allowed []NodeID, k int) [][]NodeID {
 // mostConnectedBits picks the frontier position with the most neighbors
 // already in the region, lowest position winning ties (the same rule the
 // map-based enumerator used: ascending scan, strictly-greater score).
-func mostConnectedBits(di *denseIndex, frontier, in bitset) int {
+func mostConnectedBits(v *View, frontier, in bitset) int {
 	best := -1
 	bestScore := -1
 	frontier.forEach(func(p int) bool {
-		if score := di.adj[p].intersectCount(in); score > bestScore {
+		if score := v.adj[p].intersectCount(in); score > bestScore {
 			best, bestScore = p, score
 		}
 		return true

@@ -122,29 +122,4 @@ func ZigZagOrder(g *Graph) []NodeID {
 
 // MeshBounds reports the bounding box (min and max coordinates) of the
 // embedded nodes. ok is false when no node has coordinates.
-func MeshBounds(g *Graph) (min, max Coord, ok bool) {
-	first := true
-	for _, id := range g.Nodes() {
-		c, has := g.CoordOf(id)
-		if !has {
-			continue
-		}
-		if first {
-			min, max, first = c, c, false
-			continue
-		}
-		if c.X < min.X {
-			min.X = c.X
-		}
-		if c.Y < min.Y {
-			min.Y = c.Y
-		}
-		if c.X > max.X {
-			max.X = c.X
-		}
-		if c.Y > max.Y {
-			max.Y = c.Y
-		}
-	}
-	return min, max, !first
-}
+func MeshBounds(g *Graph) (min, max Coord, ok bool) { return ViewOf(g).bounds() }

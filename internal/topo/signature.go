@@ -1,9 +1,9 @@
 package topo
 
 import (
-	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
+	"strconv"
 )
 
 // Signature returns a Weisfeiler–Lehman style topology signature. It is
@@ -17,64 +17,61 @@ import (
 // iterations controls refinement depth; 0 selects a default of 3, which
 // distinguishes all topologies that arise from small 2D-mesh regions.
 func Signature(g *Graph, iterations int) string {
-	if iterations <= 0 {
-		iterations = 3
+	v := ViewOf(g)
+	if iterations <= 0 || iterations == defaultWLIterations {
+		return v.WL().String()
 	}
-	ids := g.Nodes()
-	labels := make(map[NodeID]uint64, len(ids))
-	for _, id := range ids {
-		labels[id] = hash64(fmt.Sprintf("k=%s;d=%d", g.KindOf(id), g.Degree(id)))
+	return v.Signer().Sum(v.IDs, iterations).String()
+}
+
+const defaultWLIterations = 3
+
+// WLSig is a WL signature in comparable form: two signatures are equal
+// exactly when their String forms are.
+type WLSig struct {
+	Nodes, Edges int
+	Hash         uint64
+}
+
+// String renders the signature as "wl:<nodes>:<edges>:<hash, 16 hex>".
+func (s WLSig) String() string {
+	b := make([]byte, 0, 32)
+	b = append(b, "wl:"...)
+	b = strconv.AppendInt(b, int64(s.Nodes), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(s.Edges), 10)
+	b = append(b, ':')
+	const hex = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, hex[s.Hash>>uint(shift)&0xf])
 	}
-	for it := 0; it < iterations; it++ {
-		next := make(map[NodeID]uint64, len(ids))
-		for _, id := range ids {
-			nbs := g.Neighbors(id)
-			nbLabels := make([]uint64, len(nbs))
-			for i, nb := range nbs {
-				nbLabels[i] = labels[nb]
-			}
-			sort.Slice(nbLabels, func(i, j int) bool { return nbLabels[i] < nbLabels[j] })
-			h := fnv.New64a()
-			writeU64(h, labels[id])
-			for _, l := range nbLabels {
-				writeU64(h, l)
-			}
-			next[id] = h.Sum64()
-		}
-		labels = next
-	}
-	final := make([]uint64, 0, len(ids))
-	for _, id := range ids {
-		final = append(final, labels[id])
-	}
-	sort.Slice(final, func(i, j int) bool { return final[i] < final[j] })
-	h := fnv.New64a()
-	writeU64(h, uint64(g.NumNodes()))
-	writeU64(h, uint64(g.NumEdges()))
-	for _, l := range final {
-		writeU64(h, l)
-	}
-	return fmt.Sprintf("wl:%d:%d:%016x", g.NumNodes(), g.NumEdges(), h.Sum64())
+	return string(b)
+}
+
+// WL returns the graph's default-depth signature in comparable form.
+func (v *View) WL() WLSig {
+	v.sigOnce.Do(func() { v.sig = v.Signer().Sum(v.IDs, 0) })
+	return v.sig
 }
 
 // SubSigner computes the Signature of induced subgraphs of one host
-// graph without materializing them: adjacency comes from the host's
-// dense-index bitset rows restricted to the candidate set, initial WL
-// labels are cached per (kind, degree), and the label arrays are reused
-// across calls. The output is byte-identical to
-// Signature(g.Induced(nodes), iterations) — the mapping hot path
-// deduplicates hundreds of candidate regions per miss against the
-// request's own Signature, so the two computations must agree exactly.
+// graph without materializing them: adjacency comes from the host view's
+// bitset rows restricted to the candidate set, initial WL labels are
+// cached per (kind, degree), and the label arrays are reused across
+// calls. It is the one WL implementation: Signature(g) is the signer run
+// over all of g. The mapping hot path deduplicates hundreds of candidate
+// regions per miss against the request's own signature, comparing WLSig
+// values; the string form is only rendered for people.
 // Not safe for concurrent use; the mapper calls it from one goroutine.
 type SubSigner struct {
-	di    *denseIndex
-	kinds []string
-	init  map[subInitKey]uint64
-	mask  bitset
+	di   *View
+	init map[subInitKey]uint64
+	mask bitset
+	pos  []int
 	// labels/next are indexed by host position; only candidate positions
-	// are read or written during a call.
-	labels []uint64
-	next   []uint64
+	// are read or written during a call. nbLabels and final are scratch.
+	labels, next    []uint64
+	nbLabels, final []uint64
 }
 
 type subInitKey struct {
@@ -84,64 +81,59 @@ type subInitKey struct {
 
 // NewSubSigner prepares a signer over the host graph. The graph must not
 // be mutated while the signer is in use.
-func NewSubSigner(g *Graph) *SubSigner { return NewHost(g).Signer() }
+func NewSubSigner(g *Graph) *SubSigner { return ViewOf(g).Signer() }
 
-// Signer builds a subgraph signer on the host's shared index.
-func (h *Host) Signer() *SubSigner {
-	di := h.di
-	kinds := make([]string, len(di.ids))
-	for i, id := range di.ids {
-		kinds[i] = h.g.KindOf(id)
-	}
+// Signer builds a subgraph signer on the view.
+func (v *View) Signer() *SubSigner {
 	return &SubSigner{
-		di:     di,
-		kinds:  kinds,
+		di:     v,
 		init:   make(map[subInitKey]uint64),
-		mask:   newBitset(len(di.ids)),
-		labels: make([]uint64, len(di.ids)),
-		next:   make([]uint64, len(di.ids)),
+		mask:   newBitset(len(v.IDs)),
+		labels: make([]uint64, len(v.IDs)),
+		next:   make([]uint64, len(v.IDs)),
 	}
 }
 
-// Signature computes the WL signature of the subgraph induced by nodes.
-// Unknown node IDs are ignored, matching Graph.Induced.
+// Signature is Sum in string form, byte-identical to
+// Signature(g.Induced(nodes), iterations).
 func (s *SubSigner) Signature(nodes []NodeID, iterations int) string {
+	return s.Sum(nodes, iterations).String()
+}
+
+// Sum computes the WL signature of the subgraph induced by nodes.
+// Unknown node IDs are ignored, matching Graph.Induced.
+func (s *SubSigner) Sum(nodes []NodeID, iterations int) WLSig {
 	if iterations <= 0 {
-		iterations = 3
+		iterations = defaultWLIterations
 	}
-	pos := make([]int, 0, len(nodes))
+	pos := s.pos[:0]
 	for _, id := range nodes {
-		if p, ok := s.di.pos[id]; ok {
+		if p, ok := s.di.Pos(id); ok && !s.mask.test(p) {
 			pos = append(pos, p)
 			s.mask.set(p)
 		}
 	}
-	sort.Ints(pos) // ascending position = ascending NodeID, Nodes() order
-	defer func() {
-		for _, p := range pos {
-			s.mask.clear(p)
-		}
-	}()
+	slices.Sort(pos) // ascending position = ascending NodeID, Nodes() order
+	s.pos = pos
 
 	edges := 0
 	for _, p := range pos {
 		d := s.di.adj[p].intersectCount(s.mask)
 		edges += d
-		key := subInitKey{kind: s.kinds[p], deg: d}
+		key := subInitKey{kind: s.di.Kinds[p], deg: d}
 		l, ok := s.init[key]
 		if !ok {
-			l = hash64(fmt.Sprintf("k=%s;d=%d", key.kind, key.deg))
+			l = hash64("k=" + key.kind + ";d=" + strconv.Itoa(key.deg))
 			s.init[key] = l
 		}
 		s.labels[p] = l
 	}
 	edges /= 2
 
-	nbLabels := make([]uint64, 0, 8)
 	for it := 0; it < iterations; it++ {
 		for _, p := range pos {
-			nbLabels = nbLabels[:0]
-			for _, nb := range s.di.nbrs[p] {
+			nbLabels := s.nbLabels[:0]
+			for _, nb := range s.di.Nbrs[p] {
 				if s.mask.test(nb) {
 					nbLabels = append(nbLabels, s.labels[nb])
 				}
@@ -152,23 +144,26 @@ func (s *SubSigner) Signature(nodes []NodeID, iterations int) string {
 				h = fnvU64(h, l)
 			}
 			s.next[p] = h
+			s.nbLabels = nbLabels
 		}
 		for _, p := range pos {
 			s.labels[p] = s.next[p]
 		}
 	}
 
-	final := make([]uint64, 0, len(pos))
+	final := s.final[:0]
 	for _, p := range pos {
 		final = append(final, s.labels[p])
+		s.mask.clear(p)
 	}
+	s.final = final
 	sortU64(final)
 	h := fnvU64(fnvOffset64, uint64(len(pos)))
 	h = fnvU64(h, uint64(edges))
 	for _, l := range final {
 		h = fnvU64(h, l)
 	}
-	return fmt.Sprintf("wl:%d:%d:%016x", len(pos), edges, h)
+	return WLSig{Nodes: len(pos), Edges: edges, Hash: h}
 }
 
 func hash64(s string) uint64 {
@@ -184,13 +179,16 @@ const (
 )
 
 // fnvU64 folds v into an FNV-1a state byte by byte, least-significant
-// first — exactly what writeU64 feeds hash/fnv, so SubSigner's inline
-// hashing matches Signature's.
+// first.
 func fnvU64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v >> (8 * i) & 0xff
-		h *= fnvPrime64
-	}
+	h = (h ^ v&0xff) * fnvPrime64
+	h = (h ^ v>>8&0xff) * fnvPrime64
+	h = (h ^ v>>16&0xff) * fnvPrime64
+	h = (h ^ v>>24&0xff) * fnvPrime64
+	h = (h ^ v>>32&0xff) * fnvPrime64
+	h = (h ^ v>>40&0xff) * fnvPrime64
+	h = (h ^ v>>48&0xff) * fnvPrime64
+	h = (h ^ v>>56) * fnvPrime64
 	return h
 }
 
@@ -206,12 +204,4 @@ func sortU64(a []uint64) {
 		}
 		a[j+1] = v
 	}
-}
-
-func writeU64(h interface{ Write([]byte) (int, error) }, v uint64) {
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
-	}
-	h.Write(buf[:])
 }

@@ -9,7 +9,8 @@ package topo
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync/atomic"
 )
 
 // NodeID identifies a node within a Graph. Physical NPU cores are numbered
@@ -36,11 +37,14 @@ type Edge struct {
 const DefaultEdgeCost = 1.0
 
 // Graph is an undirected labelled graph. The zero value is not usable; use
-// New or one of the topology constructors.
+// New or one of the topology constructors. Reads are safe from several
+// goroutines as long as no goroutine mutates the graph.
 type Graph struct {
 	nodes  map[NodeID]Node
 	adj    map[NodeID]map[NodeID]float64
 	coords map[NodeID]Coord // optional spatial embedding (meshes)
+	// view caches the dense form (ViewOf); every mutator drops it.
+	view atomic.Pointer[View]
 }
 
 // Coord is a 2D mesh coordinate.
@@ -58,6 +62,7 @@ func New() *Graph {
 // AddNode inserts a node with the given kind. Adding an existing node
 // updates its kind and keeps its edges.
 func (g *Graph) AddNode(id NodeID, kind string) {
+	g.view.Store(nil)
 	g.nodes[id] = Node{ID: id, Kind: kind}
 	if g.adj[id] == nil {
 		g.adj[id] = make(map[NodeID]float64)
@@ -79,6 +84,7 @@ func (g *Graph) AddEdge(a, b NodeID, cost float64) {
 	if cost == 0 {
 		cost = DefaultEdgeCost
 	}
+	g.view.Store(nil)
 	g.adj[a][b] = cost
 	g.adj[b][a] = cost
 }
@@ -86,6 +92,7 @@ func (g *Graph) AddEdge(a, b NodeID, cost float64) {
 // RemoveNode deletes a node and all incident edges. Removing an absent node
 // is a no-op.
 func (g *Graph) RemoveNode(id NodeID) {
+	g.view.Store(nil)
 	for nb := range g.adj[id] {
 		delete(g.adj[nb], id)
 	}
@@ -95,7 +102,10 @@ func (g *Graph) RemoveNode(id NodeID) {
 }
 
 // SetCoord records a spatial embedding for a node.
-func (g *Graph) SetCoord(id NodeID, c Coord) { g.coords[id] = c }
+func (g *Graph) SetCoord(id NodeID, c Coord) {
+	g.view.Store(nil)
+	g.coords[id] = c
+}
 
 // CoordOf returns the spatial embedding of a node, if any.
 func (g *Graph) CoordOf(id NodeID) (Coord, bool) {
@@ -131,41 +141,22 @@ func (g *Graph) NumEdges() int {
 }
 
 // Nodes returns all node IDs in ascending order.
-func (g *Graph) Nodes() []NodeID {
-	ids := make([]NodeID, 0, len(g.nodes))
-	for id := range g.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
+func (g *Graph) Nodes() []NodeID { return slices.Clone(ViewOf(g).IDs) }
 
 // Edges returns all edges with A < B, sorted by (A, B).
-func (g *Graph) Edges() []Edge {
-	var edges []Edge
-	for a, nbs := range g.adj {
-		for b, cost := range nbs {
-			if a < b {
-				edges = append(edges, Edge{A: a, B: b, Cost: cost})
-			}
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].A != edges[j].A {
-			return edges[i].A < edges[j].A
-		}
-		return edges[i].B < edges[j].B
-	})
-	return edges
-}
+func (g *Graph) Edges() []Edge { return slices.Clone(ViewOf(g).Edges) }
 
 // Neighbors returns the neighbors of id in ascending order.
 func (g *Graph) Neighbors(id NodeID) []NodeID {
-	nbs := make([]NodeID, 0, len(g.adj[id]))
-	for nb := range g.adj[id] {
-		nbs = append(nbs, nb)
+	v := ViewOf(g)
+	p, ok := v.Pos(id)
+	if !ok {
+		return []NodeID{}
 	}
-	sort.Slice(nbs, func(i, j int) bool { return nbs[i] < nbs[j] })
+	nbs := make([]NodeID, len(v.Nbrs[p]))
+	for i, nb := range v.Nbrs[p] {
+		nbs[i] = v.IDs[nb]
+	}
 	return nbs
 }
 
