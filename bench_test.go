@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"testing"
 	"time"
 
@@ -563,87 +562,6 @@ func BenchmarkClusterThroughputPriority(b *testing.B) {
 	be := ss.Classes[PriorityBestEffort.class()].P99Wait
 	if crit > 0 {
 		b.ReportMetric(float64(be)/float64(crit), "p99_be/crit")
-	}
-}
-
-// BenchmarkDispatchHitsFirst measures dispatch latency under the
-// asynchronous placement pipeline: mixed-shape traffic over two chips
-// whose free sets churn with every create/destroy, so mapping misses
-// recur throughout the run. Jobs start from cached mappings when the
-// regret bound allows (hits-first) and park on the async mappers
-// otherwise — the dispatch loop never blocks on a mapper run. Reported:
-// throughput, p99 time-to-start (submit→placed), and the fraction of
-// placements served hits-first.
-func BenchmarkDispatchHitsFirst(b *testing.B) {
-	cluster, err := NewCluster(SimConfig(), 2, WithQueueDepth(256),
-		WithPlacementRegret(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cluster.Close()
-
-	type mix struct {
-		model Model
-		topo  *Topology
-	}
-	names := []string{"alexnet", "resnet18", "mobilenet", "googlenet", "resnet34", "gpt2-small"}
-	topos := []*Topology{Mesh(2, 2), Mesh(2, 3), Mesh(3, 3), Mesh(3, 4), Chain(4), Mesh(2, 3)}
-	mixes := make([]mix, len(names))
-	for i, n := range names {
-		m, err := ModelByName(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mixes[i] = mix{m, topos[i]}
-	}
-
-	ctx := context.Background()
-	start := time.Now()
-	b.ResetTimer()
-	var handles []*Handle
-	waits := make([]time.Duration, 0, b.N)
-	drain := func(h *Handle) {
-		if _, err := h.Wait(ctx); err != nil {
-			b.Fatal(err)
-		}
-		waits = append(waits, h.QueueWait())
-	}
-	for i := 0; i < b.N; i++ {
-		mx := mixes[i%len(mixes)]
-		job := Job{
-			Tenant:   fmt.Sprintf("tenant-%02d", i%16),
-			Model:    mx.model,
-			Topology: mx.topo,
-		}
-		for {
-			h, err := cluster.Submit(ctx, job)
-			if err == nil {
-				handles = append(handles, h)
-				break
-			}
-			if !errors.Is(err, ErrQueueFull) {
-				b.Fatal(err)
-			}
-			if len(handles) > 0 {
-				drain(handles[0])
-				handles = handles[1:]
-			} else {
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}
-	for _, h := range handles {
-		drain(h)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "jobs/s")
-	sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
-	if len(waits) > 0 {
-		p99 := waits[(len(waits)*99)/100]
-		b.ReportMetric(float64(p99.Microseconds()), "p99start_us")
-	}
-	if s := cluster.Stats(); s.Completed > 0 {
-		b.ReportMetric(float64(s.HitsFirst)/float64(s.Completed)*100, "%hitsfirst")
 	}
 }
 

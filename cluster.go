@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,21 +122,6 @@ type Cluster struct {
 	seenMu sync.Mutex
 	seen   map[session.Key]uint8
 
-	// regret is the hits-first tolerance: a job starts immediately on a
-	// cached placement of cost <= regret instead of waiting for its full
-	// rank (see WithPlacementRegret). Negative disables hits-first.
-	regret float64
-	// Regret auto-tuning (WithPlacementRegretTarget): when regretAuto is
-	// set, RankHit reads the live bound from regretBound (float64 bits)
-	// instead of the static regret, and maybeRetuneRegret periodically
-	// adjusts it so the regretPct-quantile of the realized regret window
-	// stays at or under regretGoal as fragmentation shifts.
-	regretAuto  bool
-	regretPct   float64
-	regretGoal  float64
-	regretBound atomic.Uint64
-	regretObsN  atomic.Uint64
-
 	// timing is the cluster-wide timing backend (nil = analytic default);
 	// every chip's System routes RunCompiled through it. See timing.go.
 	timing TimingBackend
@@ -206,9 +190,6 @@ type clusterConfig struct {
 	agingRounds     int
 	mapperWorkers   int
 	chipSlots       int
-	regret          *float64
-	regretTargetPct *float64
-	regretTarget    float64
 	timing          TimingBackend
 	clock           sim.Clock
 	tracing         bool
@@ -383,18 +364,6 @@ func NewCluster(cfg Config, chips int, opts ...ClusterOption) (*Cluster, error) 
 	}
 	c.engine = engine
 	c.timing = cc.timing
-	if cc.regret != nil {
-		c.regret = *cc.regret
-	}
-	if cc.regretTargetPct != nil {
-		c.regretAuto = true
-		c.regretPct = *cc.regretTargetPct
-		c.regretGoal = cc.regretTarget
-		// Start at the static bound when one was given (never below the
-		// goal, which trivially satisfies the objective), and let the
-		// controller grow it as evidence accumulates.
-		c.storeRegretBound(max(c.regret, c.regretGoal))
-	}
 	// Chip-saturation probe for the mapper pool's adaptive sizing: when
 	// every chip's execution slots are full, mapping faster cannot start
 	// jobs sooner, so the pool declines growth and sheds workers.
@@ -433,7 +402,6 @@ func NewCluster(cfg Config, chips int, opts ...ClusterOption) (*Cluster, error) 
 	if err != nil {
 		return nil, err
 	}
-	disp.SetPrewarm(c.prewarmPlacement)
 	if c.rec != nil || c.slo != nil {
 		disp.SetObserver(func(job Job, stage obs.Stage, detail string, chip int) {
 			c.trace(&job, stage, detail, chip)
@@ -483,86 +451,6 @@ func (c *Cluster) execSaturated() bool {
 		}
 	}
 	return true
-}
-
-// storeRegretBound/loadRegretBound keep the live auto-tuned bound in an
-// atomic so RankHit (dispatcher goroutine) and the retuner (execution
-// slots) never contend on a lock.
-func (c *Cluster) storeRegretBound(b float64) { c.regretBound.Store(math.Float64bits(b)) }
-func (c *Cluster) loadRegretBound() float64   { return math.Float64frombits(c.regretBound.Load()) }
-
-// RegretBound reports the hits-first regret bound currently in force:
-// the live auto-tuned value under WithPlacementRegretTarget, the static
-// WithPlacementRegret value otherwise.
-func (c *Cluster) RegretBound() float64 {
-	if c.regretAuto {
-		return c.loadRegretBound()
-	}
-	return c.regret
-}
-
-// regretRetuneEvery is how many sampled hits-first dispatches pass
-// between retune evaluations, and regretMinSamples how much evidence the
-// window must hold before the controller moves the bound at all.
-const (
-	regretRetuneEvery = 64
-	regretMinSamples  = 32
-)
-
-// maybeRetuneRegret runs the regret controller every regretRetuneEvery
-// sampled hits-first dispatches: it polls the realized-regret window's
-// target quantile and moves the live bound toward the largest value that
-// still holds the objective (see retuneRegretBound). Cheap enough for
-// the execution path — most calls are one atomic increment.
-func (c *Cluster) maybeRetuneRegret() {
-	if !c.regretAuto {
-		return
-	}
-	if c.regretObsN.Add(1)%regretRetuneEvery != 0 {
-		return
-	}
-	q, n := c.engine.RegretQuantile(c.regretPct)
-	if n < regretMinSamples {
-		return
-	}
-	c.storeRegretBound(retuneRegretBound(c.loadRegretBound(), q, c.regretGoal))
-}
-
-// retuneRegretBound is the controller step: with the realized quantile q
-// over the goal, shrink multiplicatively toward the goal (a bound equal
-// to the goal satisfies the objective trivially, since realized regret
-// never exceeds the bound); with q comfortably under it, grow the bound
-// to admit more hits-first dispatches. The dead band between the two
-// keeps the bound from oscillating on noisy windows.
-func retuneRegretBound(cur, q, goal float64) float64 {
-	switch {
-	case q > goal:
-		cur /= 2
-		if cur < goal {
-			cur = goal
-		}
-	case q < goal/2:
-		cur = cur*1.25 + 0.25
-		if cur > regretBoundCap {
-			cur = regretBoundCap
-		}
-	}
-	return cur
-}
-
-// regretBoundCap keeps a runaway grown bound finite; at this size every
-// cached placement qualifies for hits-first anyway (edit-distance costs
-// are far smaller on any real mesh).
-const regretBoundCap = 1 << 20
-
-// prewarmPlacement is the dispatcher's speculation hook: schedule the
-// job's missing mappings on the engine's async mapper workers. Never
-// blocks — with the pool saturated the speculation is dropped — and the
-// engine's single-flight dedups a speculative computation racing the
-// dispatcher's own. PlacementStats counts how speculation pays off
-// (PrewarmRuns/PrewarmHits/PrewarmWasted).
-func (c *Cluster) prewarmPlacement(job Job) {
-	c.engine.Prewarm(placeRequest(job.request()))
 }
 
 // chipCap is one chip's admission-relevant limits.
@@ -908,10 +796,11 @@ type ClusterStats struct {
 	// true per-chip utilization.
 	ChipBusy []time.Duration
 	// HitsFirst counts dispatcher jobs started through the hits-first
-	// fast path (a cached placement within the regret bound).
+	// fast path (an exact cached fit).
 	HitsFirst uint64
-	// MapParked counts dispatcher jobs that parked on an async mapping
-	// instead of blocking the dispatch loop on a mapper run.
+	// MapParked counts parks, not jobs: each time a dispatch parked on an
+	// async mapping instead of blocking the dispatch loop on a mapper run.
+	// A job whose free set moves under its mapping parks again.
 	MapParked uint64
 	// ExecOverlapAvg is the mean number of executions in flight on a
 	// chip, sampled at each execution's start (1 = fully serialized).
@@ -1057,61 +946,29 @@ func (e *clusterExec) RankCached(job Job) []sched.Candidate {
 	return e.scoreCandidates(e.engine.PlaceCached(placeRequest(job.request())))
 }
 
-// RankHit is the dispatcher's hits-first rank: the cached candidates
-// whose edit-distance cost is within the cluster's regret bound. A job
-// started from one can regret at most that bound versus the exhaustive
-// cold rank (the cold optimum is never negative), which is the
-// bounded-regret relaxation of the old cached==cold equivalence — see
-// WithPlacementRegret. Price/load tiebreaks among the returned
-// candidates are the ordinary scoring.
+// RankHit is the dispatcher's hits-first rank: the cached candidates of
+// edit-distance cost 0. An exact fit is a cold optimum — no chip the
+// exhaustive rank would still map can score below it — so a job started
+// from one gives up nothing; a non-exact cached candidate waits for the
+// rest of the rank. Price/load tiebreaks among the returned candidates
+// are the ordinary scoring.
 func (e *clusterExec) RankHit(job Job) []sched.Candidate {
-	bound, ok := (*Cluster)(e).hitsFirstBound()
-	if !ok {
-		return nil
-	}
 	cands := e.engine.PlaceHit(placeRequest(job.request()))
-	eligible := cands[:0]
+	exact := cands[:0]
 	for _, c := range cands {
-		if c.Cost <= bound {
-			eligible = append(eligible, c)
+		if c.Cost == 0 {
+			exact = append(exact, c)
 		}
 	}
-	return e.scoreCandidates(eligible)
-}
-
-// hitsFirstBound resolves the regret bound in force for this dispatch:
-// the live auto-tuned value under WithPlacementRegretTarget, the static
-// WithPlacementRegret value otherwise. ok=false disables hits-first
-// entirely (negative static bound, no auto-tuning).
-func (c *Cluster) hitsFirstBound() (bound float64, ok bool) {
-	if c.regretAuto {
-		return c.loadRegretBound(), true
-	}
-	if c.regret < 0 {
-		return 0, false
-	}
-	return c.regret, true
+	return e.scoreCandidates(exact)
 }
 
 // RankAsync hands the job's missing mappings to the engine's async
 // mapper workers, returning the mapReady edge the dispatcher parks the
-// job on — or nil when every chip is already answered (or hits-first is
-// disabled), telling the dispatcher to rank synchronously.
+// job on — or nil when every chip is already answered, telling the
+// dispatcher to rank synchronously.
 func (e *clusterExec) RankAsync(job Job) <-chan struct{} {
-	if _, ok := (*Cluster)(e).hitsFirstBound(); !ok {
-		return nil
-	}
 	return e.engine.MapAsync(placeRequest(job.request()))
-}
-
-// ObserveHit samples the realized regret of a hits-first dispatch: the
-// engine finishes the async rank the job skipped and records how much
-// cheaper its eventual best mapping was than the cached candidate the
-// job started on. Bounded and fire-and-forget — see
-// place.Engine.ObserveRegret; PlacementStats reports the distribution.
-func (e *clusterExec) ObserveHit(job Job, cost float64) {
-	e.engine.ObserveRegret(placeRequest(job.request()), cost)
-	(*Cluster)(e).maybeRetuneRegret()
 }
 
 // errMirrorDrift marks a create undone because the engine's free-set

@@ -51,39 +51,73 @@ import (
 )
 
 func main() {
+	cfg, err := parseFlags(os.Args[1:])
+	if err != nil {
+		// The flag set already printed the error (or, for -h, the usage).
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		os.Exit(2)
+	}
+	// SIGINT/SIGTERM stop the submit loop, not the process: in-flight jobs
+	// drain, then the trace export, SLO report and -json summary flush as
+	// on a normal exit, so an interrupted -listen run never loses its
+	// telemetry.
+	cfg.stop = make(chan os.Signal, 1)
+	signal.Notify(cfg.stop, os.Interrupt, syscall.SIGTERM)
+	if err := cfg.serve(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// serve runs the serving mode the flags select.
+func (rc runConfig) serve() error {
+	switch {
+	case rc.virtual:
+		return runVirtual(rc)
+	case rc.shards > 1:
+		return runFleet(rc)
+	default:
+		return run(rc)
+	}
+}
+
+// parseFlags resolves the command line into a runConfig.
+func parseFlags(args []string) (runConfig, error) {
 	var cfg runConfig
-	flag.IntVar(&cfg.chips, "chips", 4, "number of NPU chips in the cluster")
-	flag.StringVar(&cfg.chipName, "chip", "sim", "chip configuration: fpga, sim or sim48")
-	flag.IntVar(&cfg.jobs, "jobs", 256, "total jobs to submit")
-	flag.Float64Var(&cfg.rate, "rate", 300, "mean Poisson arrival rate in jobs/s (0 = open throttle)")
-	flag.IntVar(&cfg.queue, "queue", 0, "admission queue depth (0 = default)")
-	flag.IntVar(&cfg.quota, "quota", 0, "per-tenant in-flight quota (0 = unlimited)")
-	flag.IntVar(&cfg.tenants, "tenants", 8, "number of tenants generating load")
-	flag.IntVar(&cfg.iters, "iters", 1, "inference iterations per job")
-	flag.Int64Var(&cfg.seed, "seed", 1, "random seed for the arrival trace and the priority mix (reproducible runs)")
-	flag.BoolVar(&cfg.confine, "confine", false, "request NoC confinement for every job")
-	flag.BoolVar(&cfg.hetero, "hetero", false, "boot a mixed cluster: odd chips use the FPGA-scale config, so the cost model routes small jobs there")
-	flag.BoolVar(&cfg.reuse, "reuse", false, "enable the session pool: jobs lease resident vNPUs per (tenant, model, topology), skipping the create path on warm hits")
-	flag.BoolVar(&cfg.priomix, "priomix", false, "draw a priority mix (10% critical / 20% high / 40% normal / 30% best-effort) from the seeded RNG and report per-class latency")
-	flag.DurationVar(&cfg.deadline, "deadline", 0, "scheduling SLO attached to high/critical priomix jobs (0 = none); missed deadlines fail fast with ErrDeadlineExceeded and are reported, not fatal")
-	flag.StringVar(&cfg.jsonPath, "json", "", "write a machine-readable run summary (jobs/s, warm-hit rate, latency percentiles, per-class stats) to this file")
-	flag.IntVar(&cfg.workers, "workers", 0, "async mapper worker pool size (0 = engine default); cache misses compute on these workers instead of the dispatch path")
-	flag.Float64Var(&cfg.regret, "regret", 0, "hits-first placement regret tolerance in edit-distance units (0 = exact cached fits only; negative disables hits-first dispatch)")
-	flag.Float64Var(&cfg.regretPct, "regret-target", 0, "auto-tune the hits-first bound so this realized-regret quantile (e.g. 0.99) stays at the -regret value; 0 keeps the static bound")
-	flag.StringVar(&cfg.timing, "timing", "analytic", "timing backend for job executions: analytic (full simulation every run) or fast (memoized replay of cycle-identical warm runs)")
-	flag.BoolVar(&cfg.grounded, "grounded", false, "with -virtual: ground the replay's service times in probe-chip cycle simulations through the -timing backend instead of the synthetic formula (lower -jobs with -timing analytic)")
-	flag.StringVar(&cfg.cpuprofile, "cpuprofile", "", "write a CPU profile of the whole run to this file (for hot-path work)")
-	flag.StringVar(&cfg.memprofile, "memprofile", "", "write a heap profile (after a final GC) at the end of the run to this file")
-	flag.StringVar(&cfg.tracePath, "trace", "", "record every job's lifecycle transitions and write them as Chrome trace_event JSON (Perfetto-loadable) to this file")
-	flag.StringVar(&cfg.listen, "listen", "", "serve live telemetry on this address for the run's duration: /metrics (Prometheus), /trace(.json), /debug/pprof/ (e.g. :9090)")
-	flag.BoolVar(&cfg.verbose, "v", false, "log every job completion")
-	flag.IntVar(&cfg.shards, "shards", 1, "number of independent cluster shards behind the session-affine router (1 = single cluster)")
-	flag.BoolVar(&cfg.virtual, "virtual", false, "replay the trace on the deterministic virtual clock instead of wall time (fleet model; pairs with -shards)")
-	flag.IntVar(&cfg.drainShard, "drain", 1, "shard to drain and rejoin mid-trace when -shards > 1 (-1 disables)")
-	flag.DurationVar(&cfg.sloTarget, "slotarget", 2*time.Millisecond, "per-job sojourn target of the declared wildcard SLO (p99, 99.9% availability; 0 disables SLO tracking)")
-	flag.StringVar(&cfg.sloReport, "sloreport", "", "write the SLO + critical-path attribution report as JSON to this file (deterministic per seed with -virtual)")
-	flag.Parse()
-	flag.Visit(func(f *flag.Flag) {
+	fs := flag.NewFlagSet("vnpuserve", flag.ContinueOnError)
+	fs.IntVar(&cfg.chips, "chips", 4, "number of NPU chips in the cluster")
+	fs.StringVar(&cfg.chipName, "chip", "sim", "chip configuration: fpga, sim or sim48")
+	fs.IntVar(&cfg.jobs, "jobs", 256, "total jobs to submit")
+	fs.Float64Var(&cfg.rate, "rate", 300, "mean Poisson arrival rate in jobs/s (0 = open throttle)")
+	fs.IntVar(&cfg.queue, "queue", 0, "admission queue depth (0 = default)")
+	fs.IntVar(&cfg.quota, "quota", 0, "per-tenant in-flight quota (0 = unlimited)")
+	fs.IntVar(&cfg.tenants, "tenants", 8, "number of tenants generating load")
+	fs.IntVar(&cfg.iters, "iters", 1, "inference iterations per job")
+	fs.Int64Var(&cfg.seed, "seed", 1, "random seed for the arrival trace and the priority mix (reproducible runs)")
+	fs.BoolVar(&cfg.confine, "confine", false, "request NoC confinement for every job")
+	fs.BoolVar(&cfg.hetero, "hetero", false, "boot a mixed cluster: odd chips use the FPGA-scale config, so the cost model routes small jobs there")
+	fs.BoolVar(&cfg.reuse, "reuse", false, "enable the session pool: jobs lease resident vNPUs per (tenant, model, topology), skipping the create path on warm hits")
+	fs.BoolVar(&cfg.priomix, "priomix", false, "draw a priority mix (10% critical / 20% high / 40% normal / 30% best-effort) from the seeded RNG and report per-class latency")
+	fs.DurationVar(&cfg.deadline, "deadline", 0, "scheduling SLO attached to high/critical priomix jobs (0 = none); missed deadlines fail fast with ErrDeadlineExceeded and are reported, not fatal")
+	fs.StringVar(&cfg.jsonPath, "json", "", "write a machine-readable run summary (jobs/s, warm-hit rate, latency percentiles, per-class stats) to this file")
+	fs.IntVar(&cfg.workers, "workers", 0, "async mapper worker pool size (0 = engine default); cache misses compute on these workers instead of the dispatch path")
+	fs.StringVar(&cfg.timing, "timing", "analytic", "timing backend for job executions: analytic (full simulation every run) or fast (memoized replay of cycle-identical warm runs)")
+	fs.BoolVar(&cfg.grounded, "grounded", false, "with -virtual: ground the replay's service times in probe-chip cycle simulations through the -timing backend instead of the synthetic formula (lower -jobs with -timing analytic)")
+	fs.StringVar(&cfg.cpuprofile, "cpuprofile", "", "write a CPU profile of the whole run to this file (for hot-path work)")
+	fs.StringVar(&cfg.memprofile, "memprofile", "", "write a heap profile (after a final GC) at the end of the run to this file")
+	fs.StringVar(&cfg.tracePath, "trace", "", "record every job's lifecycle transitions and write them as Chrome trace_event JSON (Perfetto-loadable) to this file")
+	fs.StringVar(&cfg.listen, "listen", "", "serve live telemetry on this address for the run's duration: /metrics (Prometheus), /trace(.json), /debug/pprof/ (e.g. :9090)")
+	fs.BoolVar(&cfg.verbose, "v", false, "log every job completion")
+	fs.IntVar(&cfg.shards, "shards", 1, "number of independent cluster shards behind the session-affine router (1 = single cluster)")
+	fs.BoolVar(&cfg.virtual, "virtual", false, "replay the trace on the deterministic virtual clock instead of wall time (fleet model; pairs with -shards)")
+	fs.IntVar(&cfg.drainShard, "drain", 1, "shard to drain and rejoin mid-trace when -shards > 1 (-1 disables)")
+	fs.DurationVar(&cfg.sloTarget, "slotarget", 2*time.Millisecond, "per-job sojourn target of the declared wildcard SLO (p99, 99.9% availability; 0 disables SLO tracking)")
+	fs.StringVar(&cfg.sloReport, "sloreport", "", "write the SLO + critical-path attribution report as JSON to this file (deterministic per seed with -virtual)")
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "jobs":
 			cfg.jobsSet = true
@@ -91,24 +125,7 @@ func main() {
 			cfg.rateSet = true
 		}
 	})
-	// SIGINT/SIGTERM stop the submit loop, not the process: in-flight jobs
-	// drain, then the trace export, SLO report and -json summary flush as
-	// on a normal exit, so an interrupted -listen run never loses its
-	// telemetry.
-	cfg.stop = make(chan os.Signal, 1)
-	signal.Notify(cfg.stop, os.Interrupt, syscall.SIGTERM)
-	var err error
-	switch {
-	case cfg.virtual:
-		err = runVirtual(cfg)
-	case cfg.shards > 1:
-		err = runFleet(cfg)
-	default:
-		err = run(cfg)
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
+	return cfg, nil
 }
 
 type runConfig struct {
@@ -130,8 +147,6 @@ type runConfig struct {
 	verbose  bool
 
 	workers    int
-	regret     float64
-	regretPct  float64
 	timing     string
 	grounded   bool
 	cpuprofile string
@@ -346,30 +361,21 @@ type summary struct {
 
 	// Placement-pipeline facts (BENCH_serve.json): how dispatch latency
 	// relates to mapper latency across PRs.
-	Workers       int     `json:"mapper_workers"`
-	Regret        float64 `json:"placement_regret"`
-	HitsFirst     uint64  `json:"hits_first"`
-	MapParked     uint64  `json:"map_parked"`
-	MapMissAvgUs  int64   `json:"map_miss_avg_us"`
-	PrewarmRuns   uint64  `json:"prewarm_runs"`
-	PrewarmHits   uint64  `json:"prewarm_hits"`
-	PrewarmWasted uint64  `json:"prewarm_wasted"`
-	ColdP50Micros int64   `json:"cold_shape_p50_us"`
-	ColdP99Micros int64   `json:"cold_shape_p99_us"`
-	ColdShapeJobs int     `json:"cold_shape_jobs"`
+	Workers       int    `json:"mapper_workers"`
+	HitsFirst     uint64 `json:"hits_first"`
+	MapParked     uint64 `json:"map_parked"`
+	MapMissAvgUs  int64  `json:"map_miss_avg_us"`
+	ColdP50Micros int64  `json:"cold_shape_p50_us"`
+	ColdP99Micros int64  `json:"cold_shape_p99_us"`
+	ColdShapeJobs int    `json:"cold_shape_jobs"`
 
 	// Spatial-concurrency facts: mean and p99 of the number of vNPUs
 	// executing overlapped on a chip (1.0 = the old serialized regime).
 	ExecOverlapAvg     float64 `json:"exec_overlap_avg"`
 	ChipConcurrencyP99 float64 `json:"chip_concurrency_p99"`
 
-	// Hits-first quality facts: how often the negative-result TTL
-	// short-circuited a doomed mapping, and how much placement cost the
-	// hits-first shortcut realized versus the async rank's eventual best.
-	NegHits       uint64  `json:"negative_ttl_hits"`
-	RegretSamples uint64  `json:"regret_samples"`
-	RegretAvg     float64 `json:"regret_avg_ted"`
-	RegretP99     float64 `json:"regret_p99_ted"`
+	// How often the negative-result TTL short-circuited a doomed mapping.
+	NegHits uint64 `json:"negative_ttl_hits"`
 
 	// Timing-backend facts: which backend timed executions, how its memo
 	// performed, and the microbenchmarked fast-vs-analytic speedup of one
@@ -380,10 +386,6 @@ type summary struct {
 	MemoHits      uint64  `json:"memo_hits"`
 	MemoMisses    uint64  `json:"memo_misses"`
 	FastSpeedup   float64 `json:"fast_vs_analytic_speedup"`
-
-	// Regret auto-tuning facts (zero unless -regret-target).
-	RegretTargetPct float64 `json:"regret_target_pct"`
-	RegretBound     float64 `json:"regret_bound_ted"`
 
 	// SLO standing and critical-path attribution of the run (nil when
 	// -slotarget 0 / tracing off respectively).
@@ -471,10 +473,6 @@ func run(rc runConfig) error {
 	}
 	if rc.workers > 0 {
 		opts = append(opts, vnpu.WithMapperWorkers(rc.workers))
-	}
-	opts = append(opts, vnpu.WithPlacementRegret(rc.regret))
-	if rc.regretPct > 0 {
-		opts = append(opts, vnpu.WithPlacementRegretTarget(rc.regretPct, rc.regret))
 	}
 	backend, err := timingBackend(rc.timing)
 	if err != nil {
@@ -686,19 +684,9 @@ func run(rc runConfig) error {
 	fmt.Printf("placement:     %d decisions, avg %s   cache %.1f%% hit (%d hit / %d miss, %d evicted)\n",
 		ps.Placements, ps.AvgPlaceTime().Round(time.Microsecond),
 		ps.HitRate()*100, ps.CacheHits, ps.CacheMisses, ps.CacheEvictions)
-	fmt.Printf("mapper:        miss avg %s   %d async, %d hits-first starts, %d map-parked   prewarm %d run / %d hit / %d wasted\n",
+	fmt.Printf("mapper:        miss avg %s   %d async, %d hits-first starts, %d map-parks   %d negative-TTL hits, %d pool-growth vetoes\n",
 		ps.AvgMapTime().Round(time.Microsecond), ps.AsyncMaps,
-		stats.HitsFirst, stats.MapParked,
-		ps.PrewarmRuns, ps.PrewarmHits, ps.PrewarmWasted)
-	if ps.NegHits > 0 || ps.RegretSamples > 0 {
-		fmt.Printf("hits-first:    %d negative-TTL hits   regret over %d samples: avg %.2f  p50 %.2f  p99 %.2f  max %.2f TED\n",
-			ps.NegHits, ps.RegretSamples,
-			ps.AvgRegret(), ps.RegretP50, ps.RegretP99, ps.RegretMax)
-	}
-	if rc.regretPct > 0 {
-		fmt.Printf("regret tuner:  p%g target %.2f TED   live bound %.2f TED   %d pool-growth vetoes\n",
-			rc.regretPct*100, rc.regret, cluster.RegretBound(), ps.MapGrowVetoed)
-	}
+		stats.HitsFirst, stats.MapParked, ps.NegHits, ps.MapGrowVetoed)
 	ts := cluster.TimingStats()
 	var speedup float64
 	if rc.timing == "fast" {
@@ -777,31 +765,21 @@ func run(rc runConfig) error {
 			Backfilled:     backfilled,
 			PerClass:       perClass,
 			Workers:        rc.workers,
-			Regret:         rc.regret,
 			HitsFirst:      stats.HitsFirst,
 			MapParked:      stats.MapParked,
 			MapMissAvgUs:   ps.AvgMapTime().Microseconds(),
-			PrewarmRuns:    ps.PrewarmRuns,
-			PrewarmHits:    ps.PrewarmHits,
-			PrewarmWasted:  ps.PrewarmWasted,
 			ColdShapeJobs:  len(coldWaits),
 
 			ExecOverlapAvg:     stats.ExecOverlapAvg,
 			ChipConcurrencyP99: stats.ChipConcurrencyP99,
 
-			NegHits:       ps.NegHits,
-			RegretSamples: ps.RegretSamples,
-			RegretAvg:     ps.AvgRegret(),
-			RegretP99:     ps.RegretP99,
+			NegHits: ps.NegHits,
 
 			TimingBackend: ts.Backend,
 			MemoHitRate:   ts.HitRate(),
 			MemoHits:      ts.Hits,
 			MemoMisses:    ts.Misses,
 			FastSpeedup:   speedup,
-
-			RegretTargetPct: rc.regretPct,
-			RegretBound:     cluster.RegretBound(),
 		}
 		if sloOK {
 			sum.SLO = &sloRep
@@ -1151,10 +1129,6 @@ func runFleet(rc runConfig) error {
 	}
 	if rc.workers > 0 {
 		opts = append(opts, vnpu.WithMapperWorkers(rc.workers))
-	}
-	opts = append(opts, vnpu.WithPlacementRegret(rc.regret))
-	if rc.regretPct > 0 {
-		opts = append(opts, vnpu.WithPlacementRegretTarget(rc.regretPct, rc.regret))
 	}
 	// One backend across every shard: the memo key covers the chip
 	// configuration, so shards sharing a memo is sound and lets a model

@@ -25,19 +25,12 @@ type PlacementStats struct {
 	// decisions.
 	PlaceTime time.Duration
 	// MapTime is the cumulative wall-clock time spent inside the topology
-	// mapper itself — the cost of the misses, whichever path (inline,
-	// async worker, prewarm) paid it.
+	// mapper itself — the cost of the misses, whichever path (inline or
+	// async worker) paid it.
 	MapTime time.Duration
 	// AsyncMaps counts mapping computations scheduled on the async mapper
-	// workers for a dispatch-path miss (MapAsync, excluding speculation).
+	// workers for a dispatch-path miss (MapAsync).
 	AsyncMaps uint64
-	// PrewarmRuns counts speculative mapper computations started by
-	// Prewarm; PrewarmHits counts cache hits served from an entry a
-	// speculation produced, and PrewarmWasted counts speculative entries
-	// dropped (evicted or invalidated) without ever serving a hit.
-	PrewarmRuns   uint64
-	PrewarmHits   uint64
-	PrewarmWasted uint64
 	// NegHits counts per-chip mapping failures served from the engine's
 	// negative-result memo across free-set churn — each one a mapper run
 	// (and likely a map-park) the TTL coalesced away.
@@ -52,16 +45,6 @@ type PlacementStats struct {
 	// as the bottleneck: spawning another mapper there would steal CPU
 	// from the simulator without improving time-to-start.
 	MapGrowVetoed uint64
-	// Realized hits-first regret, in edit-distance units: for each sampled
-	// hits-first dispatch, how much cheaper the full rank's eventual best
-	// mapping was than the cached candidate the job actually started on
-	// (never negative). RegretSamples/RegretSum/RegretMax are cumulative;
-	// the percentiles cover a bounded window of recent samples.
-	RegretSamples uint64
-	RegretSum     float64
-	RegretMax     float64
-	RegretP50     float64
-	RegretP99     float64
 }
 
 // HitRate reports the fraction of mapping resolutions served from the
@@ -90,13 +73,4 @@ func (s PlacementStats) AvgMapTime() time.Duration {
 		return 0
 	}
 	return s.MapTime / time.Duration(s.CacheMisses)
-}
-
-// AvgRegret reports the mean realized regret of the sampled hits-first
-// dispatches (0 before the first sample).
-func (s PlacementStats) AvgRegret() float64 {
-	if s.RegretSamples == 0 {
-		return 0
-	}
-	return s.RegretSum / float64(s.RegretSamples)
 }

@@ -55,160 +55,87 @@ func TestEngineMapAsyncServesPlaceCached(t *testing.T) {
 	}
 }
 
-// TestEnginePrewarmStats: speculation is observable — runs are counted
-// when scheduled, hits when a real rank is served from a speculative
-// entry, and waste when the entry dies unused.
-func TestEnginePrewarmStats(t *testing.T) {
-	e := newEngine(t, []place.Chip{simChip()}, place.WithWorkers(2))
-	defer e.Close()
-	warm := place.Request{Topology: topo.Mesh2D(2, 2)}
-
-	e.Prewarm(warm)
-	deadline := time.Now().Add(10 * time.Second)
-	for e.Stats().CacheMisses < 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("prewarm never computed: %+v", e.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	st := e.Stats()
-	if st.PrewarmRuns != 1 {
-		t.Fatalf("PrewarmRuns = %d, want 1: %+v", st.PrewarmRuns, st)
-	}
-	if st.PrewarmHits != 0 {
-		t.Fatalf("PrewarmHits before any rank = %d: %+v", st.PrewarmHits, st)
-	}
-	if _, err := e.Place(warm); err != nil {
-		t.Fatal(err)
-	}
-	if st = e.Stats(); st.PrewarmHits != 1 {
-		t.Fatalf("PrewarmHits after rank = %d, want 1: %+v", st.PrewarmHits, st)
-	}
-	// A second hit on the same entry is an ordinary cache hit, not
-	// another prewarm payoff.
-	if _, err := e.Place(warm); err != nil {
-		t.Fatal(err)
-	}
-	if st = e.Stats(); st.PrewarmHits != 1 {
-		t.Fatalf("PrewarmHits double-counted: %+v", st)
-	}
-
-	// A speculative entry dropped before serving anything is wasted: with
-	// a one-entry cache, the second speculation evicts the first.
-	e2 := newEngine(t, []place.Chip{simChip()}, place.WithWorkers(2), place.WithCacheSize(1))
-	defer e2.Close()
-	e2.Prewarm(place.Request{Topology: topo.Chain(3)})
-	for e2.Stats().CacheMisses < 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("speculation never computed: %+v", e2.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	e2.Prewarm(place.Request{Topology: topo.Mesh2D(2, 2)})
-	for e2.Stats().PrewarmWasted < 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("evicted unused speculation not counted as wasted: %+v", e2.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestEngineBoundedRegretProperty is the hits-first guarantee: any
-// cached candidate whose cost is within the regret bound r scores at
-// most r worse than the exhaustive cold rank over ALL chips at the same
-// free state — the relaxation WithPlacementRegret buys is bounded.
-func TestEngineBoundedRegretProperty(t *testing.T) {
+// TestEngineHitsFirstStartsAreColdOptima is the hits-first guarantee:
+// every PlaceHit candidate of cost 0 — the only kind the dispatcher
+// starts a job on without its full rank — scores equal to the cacheless
+// engine's best over ALL chips at the same free state. Nothing is given
+// up by not waiting.
+func TestEngineHitsFirstStartsAreColdOptima(t *testing.T) {
 	reqPool := []*topo.Graph{
 		topo.Mesh2D(2, 2),
 		topo.Mesh2D(2, 3),
 		topo.Chain(3),
 		topo.Chain(5),
 	}
-	for _, regret := range []float64{0, 1, 2.5} {
-		rng := rand.New(rand.NewSource(42))
-		cached, err := place.New([]place.Chip{simChip(), fpgaChip()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := place.New([]place.Chip{simChip(), fpgaChip()}, place.WithCacheSize(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		type livePlacement struct {
-			chip  int
-			nodes []topo.NodeID
-		}
-		var live []livePlacement
-		for op := 0; op < 30; op++ {
-			req := place.Request{Topology: reqPool[rng.Intn(len(reqPool))]}
-			switch rng.Intn(4) {
-			case 0: // warm one chip's mapping only (partial cache)
-				chip := rng.Intn(2)
-				_, _ = cached.Resolve(chip, req)
-			case 1: // full async warm
-				if ready := cached.MapAsync(req); ready != nil {
-					waitClosed(t, ready)
-				}
-			case 2: // churn: place and commit on both engines
-				cands, err := cached.Place(req)
-				if err != nil {
-					continue
-				}
-				res, err := cached.Resolve(cands[0].Chip, req)
-				if err != nil {
-					continue
-				}
-				if err := cached.Commit(cands[0].Chip, res.Nodes); err != nil {
-					t.Fatal(err)
-				}
-				if err := cold.Commit(cands[0].Chip, res.Nodes); err != nil {
-					t.Fatal(err)
-				}
-				live = append(live, livePlacement{cands[0].Chip, res.Nodes})
-			default: // churn: release
-				if len(live) == 0 {
-					continue
-				}
-				i := rng.Intn(len(live))
-				p := live[i]
-				live = append(live[:i], live[i+1:]...)
-				if err := cached.Release(p.chip, p.nodes); err != nil {
-					t.Fatal(err)
-				}
-				if err := cold.Release(p.chip, p.nodes); err != nil {
-					t.Fatal(err)
-				}
+	rng := rand.New(rand.NewSource(42))
+	cached := newEngine(t, []place.Chip{simChip(), fpgaChip()})
+	defer cached.Close()
+	cold := newEngine(t, []place.Chip{simChip(), fpgaChip()}, place.WithCacheSize(0))
+	defer cold.Close()
+	type livePlacement struct {
+		chip  int
+		nodes []topo.NodeID
+	}
+	var live []livePlacement
+	for op := 0; op < 30; op++ {
+		req := place.Request{Topology: reqPool[rng.Intn(len(reqPool))]}
+		switch rng.Intn(4) {
+		case 0: // warm one chip's mapping only (partial cache)
+			chip := rng.Intn(2)
+			_, _ = cached.Resolve(chip, req)
+		case 1: // full async warm
+			if ready := cached.MapAsync(req); ready != nil {
+				waitClosed(t, ready)
 			}
-			// The hits-first emulation: the best cached candidate within
-			// the regret bound, versus the exhaustive cold optimum.
-			hits := cached.PlaceCached(req)
-			var eligible []place.Candidate
-			for _, c := range hits {
-				if c.Cost <= regret {
-					eligible = append(eligible, c)
-				}
+		case 2: // churn: place and commit on both engines
+			cands, err := cached.Place(req)
+			if err != nil {
+				continue
 			}
-			if len(eligible) == 0 {
+			res, err := cached.Resolve(cands[0].Chip, req)
+			if err != nil {
+				continue
+			}
+			if err := cached.Commit(cands[0].Chip, res.Nodes); err != nil {
+				t.Fatal(err)
+			}
+			if err := cold.Commit(cands[0].Chip, res.Nodes); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, livePlacement{cands[0].Chip, res.Nodes})
+		default: // churn: release
+			if len(live) == 0 {
+				continue
+			}
+			i := rng.Intn(len(live))
+			p := live[i]
+			live = append(live[:i], live[i+1:]...)
+			if err := cached.Release(p.chip, p.nodes); err != nil {
+				t.Fatal(err)
+			}
+			if err := cold.Release(p.chip, p.nodes); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range cached.PlaceHit(req) {
+			if c.Cost != 0 {
 				continue
 			}
 			coldCands, err := cold.Place(req)
 			if err != nil || len(coldCands) == 0 {
 				t.Fatalf("op %d: cached rank exists but cold rank failed: %v", op, err)
 			}
-			if got, want := eligible[0].Cost, coldCands[0].Cost; got > want+regret {
-				t.Fatalf("op %d regret %v: hits-first cost %v exceeds cold optimum %v by more than the bound",
-					op, regret, got, want)
+			if best := coldCands[0].Cost; best != 0 {
+				t.Fatalf("op %d: exact cached fit on chip %d but the cold optimum costs %v", op, c.Chip, best)
 			}
 		}
-		cold.Close()
-		cached.Close()
 	}
 }
 
-// TestEngineMapAsyncChurnRace exercises MapAsync, Prewarm and
-// PlaceCached against concurrent Commit/Release churn and blocking
-// placements under -race: async mappers share flights and the cache with
-// every other path, and the free-set mirror moves underneath them.
+// TestEngineMapAsyncChurnRace exercises MapAsync and PlaceCached against
+// concurrent Commit/Release churn and blocking placements under -race:
+// async mappers share flights and the cache with every other path, and
+// the free-set mirror moves underneath them.
 func TestEngineMapAsyncChurnRace(t *testing.T) {
 	e := newEngine(t, []place.Chip{simChip(), fpgaChip()}, place.WithWorkers(3))
 	defer e.Close()
@@ -261,14 +188,11 @@ func TestEngineMapAsyncChurnRace(t *testing.T) {
 			rng := rand.New(rand.NewSource(100 + seed))
 			for i := 0; i < rounds; i++ {
 				req := place.Request{Topology: reqPool[rng.Intn(len(reqPool))]}
-				switch rng.Intn(3) {
-				case 0:
+				if rng.Intn(2) == 0 {
 					if ready := e.MapAsync(req); ready != nil && rng.Intn(2) == 0 {
 						waitClosed(t, ready)
 					}
-				case 1:
-					e.Prewarm(req)
-				default:
+				} else {
 					for _, c := range e.PlaceCached(req) {
 						if c.Chip < 0 || c.Chip >= e.Chips() {
 							t.Errorf("cached candidate names unknown chip %d", c.Chip)
@@ -280,4 +204,51 @@ func TestEngineMapAsyncChurnRace(t *testing.T) {
 		}(int64(g))
 	}
 	wg.Wait()
+}
+
+// TestSaturationVetoesMapperGrowth pins the shrink-on-saturation
+// satellite: while the saturation probe reports every chip execution
+// slot busy, the adaptive mapper pool declines to grow past its
+// resident worker — a mapping backlog cannot delay job starts when no
+// slot could run them — and counts each declined growth.
+func TestSaturationVetoesMapperGrowth(t *testing.T) {
+	e := newEngine(t, []place.Chip{simChip()}, place.WithWorkers(8))
+	defer e.Close()
+	e.SetSaturationProbe(func() bool { return true })
+
+	// A near-chip-sized mapping pins the resident worker, so the distinct
+	// small topologies behind it keep the queue non-empty and every
+	// submission attempts (and is denied) growth.
+	e.MapAsync(place.Request{Topology: topo.Mesh2D(5, 6)})
+	for i := 2; i < 12; i++ {
+		e.MapAsync(place.Request{Topology: topo.Chain(i)})
+	}
+	if got := e.Stats().MapGrowVetoed; got == 0 {
+		t.Fatalf("no growth veto recorded: stats %+v", e.Stats())
+	}
+	if got := e.Stats().MapWorkers; got != 1 {
+		t.Fatalf("pool grew to %d workers under saturation, want 1", got)
+	}
+}
+
+// TestSaturationClearedAllowsGrowth is the counterpart: with the probe
+// reporting free slots, backlog-driven growth proceeds as before.
+func TestSaturationClearedAllowsGrowth(t *testing.T) {
+	e := newEngine(t, []place.Chip{simChip()}, place.WithWorkers(8))
+	defer e.Close()
+	e.SetSaturationProbe(func() bool { return false })
+
+	// Growth happens synchronously inside the submission that observes a
+	// backlog, so the pool is visibly grown right after the batch (the
+	// extra workers retire only once the queue drains).
+	e.MapAsync(place.Request{Topology: topo.Mesh2D(5, 6)})
+	for i := 2; i < 12; i++ {
+		e.MapAsync(place.Request{Topology: topo.Chain(i)})
+	}
+	if got := e.Stats().MapWorkers; got <= 1 {
+		t.Fatalf("pool did not grow: stats %+v", e.Stats())
+	}
+	if got := e.Stats().MapGrowVetoed; got != 0 {
+		t.Fatalf("unsaturated growth recorded %d vetoes", got)
+	}
 }

@@ -35,10 +35,6 @@ type cacheEntry struct {
 	candidates int
 	connected  bool
 	err        error
-	// spec marks an entry produced by Prewarm speculation that has not
-	// served a hit yet; the engine counts the flag's fate (first hit vs
-	// eviction/invalidation) into PrewarmHits/PrewarmWasted.
-	spec bool
 }
 
 // result materializes a MapResult with a private copy of the node slice,
@@ -82,35 +78,29 @@ func (c *mapCache) get(k cacheKey) (*cacheEntry, bool) {
 	return el.Value.(*cacheItem).entry, true
 }
 
-// add inserts an entry, returning the entries evicted beyond capacity so
-// the engine can account them (eviction counter, wasted speculations).
-func (c *mapCache) add(k cacheKey, e *cacheEntry) []*cacheEntry {
+// add inserts an entry, returning how many entries were evicted beyond
+// capacity for the engine's eviction counter.
+func (c *mapCache) add(k cacheKey, e *cacheEntry) (evicted uint64) {
 	if el, ok := c.entries[k]; ok {
 		el.Value.(*cacheItem).entry = e
 		c.order.MoveToFront(el)
-		return nil
+		return 0
 	}
 	c.entries[k] = c.order.PushFront(&cacheItem{key: k, entry: e})
-	var evicted []*cacheEntry
 	for c.order.Len() > c.cap {
 		last := c.order.Back()
 		c.order.Remove(last)
-		item := last.Value.(*cacheItem)
-		delete(c.entries, item.key)
-		evicted = append(evicted, item.entry)
+		delete(c.entries, last.Value.(*cacheItem).key)
+		evicted++
 	}
 	return evicted
 }
 
-// remove drops an entry, returning it for the engine's accounting (nil
-// when absent).
-func (c *mapCache) remove(k cacheKey) *cacheEntry {
+func (c *mapCache) remove(k cacheKey) {
 	if el, ok := c.entries[k]; ok {
 		c.order.Remove(el)
 		delete(c.entries, k)
-		return el.Value.(*cacheItem).entry
 	}
-	return nil
 }
 
 func (c *mapCache) len() int { return c.order.Len() }

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -229,26 +228,16 @@ const DefaultWorkers = 4
 // the free sets around it churn, without outliving real capacity shifts.
 const DefaultNegativeTTL = 2 * time.Millisecond
 
-// regretObservers bounds how many ObserveRegret measurements may be in
-// flight at once; excess observations are dropped (sampling, not
-// accounting — the serving path must never block on regret).
-const regretObservers = 64
-
-// regretWindow bounds the sliding window of regret samples percentiles
-// are computed over.
-const regretWindow = 1024
-
 // Engine owns placement decisions for a set of chips. Create one with New;
 // all methods are safe for concurrent use.
 type Engine struct {
 	chips []*chipState
 
 	// tasks feeds the bounded mapper worker pool: cache misses — whether
-	// from a blocking Place, an async MapAsync fan-out or a Prewarm
-	// speculation — run here, so mapping concurrency is bounded by the
-	// worker count instead of one goroutine per (caller, chip). When the
-	// queue is full, blocking callers overflow onto their own goroutines
-	// (progress over strict bounds) and speculations are dropped.
+	// from a blocking Place or an async MapAsync fan-out — run here, so
+	// mapping concurrency is bounded by the worker count instead of one
+	// goroutine per (caller, chip). When the queue is full, callers
+	// overflow onto their own goroutines (progress over strict bounds).
 	//
 	// The pool sizes itself to demand between one resident worker and the
 	// WithWorkers bound: every enqueue that leaves a backlog spawns a
@@ -275,13 +264,6 @@ type Engine struct {
 	workers   int
 	active    int // mapper workers currently running (1..workers)
 	closed    bool
-
-	// Realized-regret sampling (see ObserveRegret): a bounded ring of
-	// samples for percentiles, and a live-observer count bounding the
-	// measurement goroutines.
-	regretRing []float64
-	regretNext int
-	regretLive int
 
 	// saturated, when set (SetSaturationProbe), reports that the chip
 	// execution slots — not mapping — are the current bottleneck. The
@@ -498,27 +480,6 @@ func (e *Engine) trySubmit(fn func()) bool {
 	}
 }
 
-// specHitLocked books the first hit on a speculative (prewarmed) entry.
-// Caller holds the engine mutex.
-func (e *Engine) specHitLocked(ent *cacheEntry) {
-	if ent.spec {
-		ent.spec = false
-		e.stats.PrewarmHits++
-	}
-}
-
-// bookEvictedLocked accounts dropped cache entries: every one counts as
-// an eviction, and speculative ones that never served a hit count as
-// wasted prewarm work. Caller holds the engine mutex.
-func (e *Engine) bookEvictedLocked(entries []*cacheEntry) {
-	for _, ent := range entries {
-		e.stats.CacheEvictions++
-		if ent.spec {
-			e.stats.PrewarmWasted++
-		}
-	}
-}
-
 // negGetLocked returns the chip's live memoized mapping failure for the
 // key, if any: within its TTL and with the chip's free capacity no larger
 // than the failure was computed against. Dead entries are dropped on the
@@ -570,9 +531,7 @@ func (e *Engine) FreeCount(chip int) int {
 	return e.chips[chip].freeCount
 }
 
-// Stats returns a snapshot of the engine's counters. Regret percentiles
-// are computed over the bounded window of recent samples; the cumulative
-// counters (RegretSamples/RegretSum/RegretMax) cover the whole run.
+// Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() metrics.PlacementStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -581,101 +540,7 @@ func (e *Engine) Stats() metrics.PlacementStats {
 	if e.cache != nil {
 		s.CacheSize = e.cache.len()
 	}
-	if n := len(e.regretRing); n > 0 {
-		window := append([]float64(nil), e.regretRing...)
-		sort.Float64s(window)
-		rank := func(p float64) float64 {
-			i := int(p * float64(n-1))
-			return window[i]
-		}
-		s.RegretP50 = rank(0.50)
-		s.RegretP99 = rank(0.99)
-	}
 	return s
-}
-
-// RegretQuantile reports the q-quantile (q in [0, 1]) of the sliding
-// realized-regret window plus the window's sample count. The regret
-// auto-tuner polls it to hold the WithPlacementRegretTarget objective;
-// callers should require a minimum n before acting on the value.
-func (e *Engine) RegretQuantile(q float64) (value float64, n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n = len(e.regretRing)
-	if n == 0 {
-		return 0, 0
-	}
-	window := append([]float64(nil), e.regretRing...)
-	sort.Float64s(window)
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	return window[int(q*float64(n-1))], n
-}
-
-// ObserveRegret measures the realized regret of one hits-first dispatch:
-// the job started on a cached candidate of cost hitCost without waiting
-// for its remaining mappings, and this reports how much better the full
-// rank would eventually have done. It schedules the request's missing
-// mappings (the async rank the job skipped), waits for them off the
-// caller's goroutine, and records max(0, hitCost - best cached cost).
-// Observation is sampling, not accounting: at most regretObservers run
-// at once and excess calls are dropped, so the dispatch path never
-// blocks — WithPlacementRegret's bound is the guarantee, this is the
-// evidence of what the bound actually cost.
-func (e *Engine) ObserveRegret(req Request, hitCost float64) {
-	e.mu.Lock()
-	if e.closed || e.regretLive >= regretObservers {
-		e.mu.Unlock()
-		return
-	}
-	e.regretLive++
-	e.mu.Unlock()
-	go func() {
-		defer func() {
-			e.mu.Lock()
-			e.regretLive--
-			e.mu.Unlock()
-		}()
-		if done := e.MapAsync(req); done != nil {
-			<-done
-		}
-		best := hitCost
-		if cands := e.placeCached(req, false); len(cands) > 0 && cands[0].Cost < best {
-			best = cands[0].Cost
-		}
-		sample := hitCost - best
-		e.mu.Lock()
-		e.stats.RegretSamples++
-		e.stats.RegretSum += sample
-		if sample > e.stats.RegretMax {
-			e.stats.RegretMax = sample
-		}
-		if len(e.regretRing) < regretWindow {
-			e.regretRing = append(e.regretRing, sample)
-		} else {
-			e.regretRing[e.regretNext] = sample
-			e.regretNext = (e.regretNext + 1) % regretWindow
-		}
-		e.mu.Unlock()
-	}()
-}
-
-// Prewarm speculatively computes and caches the request's mapping
-// against every chip's current free set without booking a placement
-// decision. The dispatcher speculates with it: while the head job claims
-// its chip, the next few queued jobs' mappings compute on the async
-// mapper workers, so their own ranking is served from the cache — most
-// chips' free sets are unchanged by the head's claim. Prewarm never
-// blocks and never claims resources: with the worker pool saturated the
-// speculation is dropped, and a stale entry is simply recomputed later.
-// PlacementStats reports how speculation pays off (PrewarmRuns vs
-// PrewarmHits vs PrewarmWasted).
-func (e *Engine) Prewarm(req Request) {
-	e.mapAsync(req, true)
 }
 
 // MapAsync schedules the mapper computations the request would miss on —
@@ -691,10 +556,6 @@ func (e *Engine) Prewarm(req Request) {
 // dispatch loop: the job parks on the returned edge while other work
 // dispatches, and re-ranks — by then cache-served — when it closes.
 func (e *Engine) MapAsync(req Request) <-chan struct{} {
-	return e.mapAsync(req, false)
-}
-
-func (e *Engine) mapAsync(req Request, speculative bool) <-chan struct{} {
 	if req.Topology == nil || req.Topology.NumNodes() == 0 {
 		return nil
 	}
@@ -715,33 +576,19 @@ func (e *Engine) mapAsync(req Request, speculative bool) <-chan struct{} {
 		e.mu.Unlock()
 		return f.done
 	}
-	nk := negKey{topoSig: sig, strat: req.Strategy, nodeInsDel: req.MapOptions.NodeInsDel}
 	var misses []int
-	for i, cs := range e.chips {
-		if req.MemoryBytes > cs.profile.MemoryBytes {
-			continue
+	e.scanLocked(req, sig, func(chip int, a chipAnswer, _ *cacheEntry, _ error) {
+		if a == chipMiss {
+			misses = append(misses, chip)
 		}
-		if ent, ok := e.cache.get(e.keyLocked(cs, req, sig)); ok {
-			if ent.err != nil || cs.allFreeLocked(ent.nodes) {
-				continue // answered (result or memoized error)
-			}
-		}
-		if _, ok := e.negGetLocked(cs, nk); ok {
-			continue // answered (memoized failure across free-set churn)
-		}
-		misses = append(misses, i)
-	}
+	})
 	if len(misses) == 0 {
 		e.mu.Unlock()
 		return nil
 	}
 	f := &asyncFlight{done: make(chan struct{}), remaining: len(misses)}
 	e.async[key] = f
-	if speculative {
-		e.stats.PrewarmRuns += uint64(len(misses))
-	} else {
-		e.stats.AsyncMaps += uint64(len(misses))
-	}
+	e.stats.AsyncMaps += uint64(len(misses))
 	e.mu.Unlock()
 
 	finishOne := func() {
@@ -759,24 +606,15 @@ func (e *Engine) mapAsync(req Request, speculative bool) <-chan struct{} {
 	for _, chip := range misses {
 		chip := chip
 		task := func() {
-			_, _ = e.resolve(chip, req, sig, speculative)
+			_, _ = e.resolve(chip, req, sig)
 			finishOne()
-		}
-		if e.trySubmit(task) {
-			continue
-		}
-		if speculative {
-			// Pool saturated: speculation is the first thing to shed.
-			e.mu.Lock()
-			e.stats.PrewarmRuns--
-			e.mu.Unlock()
-			finishOne()
-			continue
 		}
 		// A dispatch-path miss must make progress even when the pool is
 		// saturated; overflow onto a dedicated goroutine (bounded by the
 		// async dedup map — one fan-out per distinct request).
-		go task()
+		if !e.trySubmit(task) {
+			go task()
+		}
 	}
 	return f.done
 }
@@ -819,23 +657,15 @@ func (e *Engine) placeCached(req Request, account bool) []Candidate {
 	k := req.Topology.NumNodes()
 	var cands []Candidate
 	e.mu.Lock()
-	for i, cs := range e.chips {
-		if req.MemoryBytes > cs.profile.MemoryBytes {
-			continue
+	e.scanLocked(req, sig, func(chip int, a chipAnswer, ent *cacheEntry, _ error) {
+		if a == chipResult {
+			cands = append(cands, Candidate{
+				Chip:  chip,
+				Cost:  ent.cost,
+				Price: e.chips[chip].profile.PlacementPrice(k),
+			})
 		}
-		ent, ok := e.cache.get(e.keyLocked(cs, req, sig))
-		if !ok || ent.err != nil || !cs.allFreeLocked(ent.nodes) {
-			continue
-		}
-		// A speculative entry serving a real cached rank is a prewarm
-		// payoff, even on the probe scans that skip hit accounting.
-		e.specHitLocked(ent)
-		cands = append(cands, Candidate{
-			Chip:  i,
-			Cost:  ent.cost,
-			Price: cs.profile.PlacementPrice(k),
-		})
-	}
+	})
 	if account && len(cands) > 0 {
 		e.stats.Placements++
 		e.stats.CacheHits += uint64(len(cands))
@@ -880,61 +710,48 @@ func (e *Engine) Place(req Request) ([]Candidate, error) {
 // out concurrently) without touching the decision counters.
 func (e *Engine) rank(req Request) ([]Candidate, error) {
 	sig := canonicalKey(req.Topology)
-	nk := negKey{topoSig: sig, strat: req.Strategy, nodeInsDel: req.MapOptions.NodeInsDel}
 	k := req.Topology.NumNodes()
 
 	// First pass, one lock acquisition: answer every chip the cache can.
-	// In the all-hit steady state this PR optimizes for, ranking spawns
-	// no goroutines at all; only chips that actually need the mapper fan
-	// out below.
-	results := make([]core.MapResult, len(e.chips))
+	// In the all-hit steady state ranking spawns no goroutines at all;
+	// only chips that actually need the mapper fan out below.
+	costs := make([]float64, len(e.chips))
 	errs := make([]error, len(e.chips))
 	var misses []int
-	cacheable := e.cache != nil && req.cacheable()
 	e.mu.Lock()
-	for i, cs := range e.chips {
-		if req.MemoryBytes > cs.profile.MemoryBytes {
-			errs[i] = fmt.Errorf("place: request needs %d bytes of memory, chip %d (%s) has %d: %w",
-				req.MemoryBytes, i, cs.profile.Name, cs.profile.MemoryBytes, core.ErrMemoryExceeded)
-			continue
-		}
-		if cacheable {
-			if ent, ok := e.cache.get(e.keyLocked(cs, req, sig)); ok {
-				if ent.err != nil {
-					e.stats.CacheHits++
-					e.specHitLocked(ent)
-					errs[i] = ent.err
-					continue
-				}
-				if cs.allFreeLocked(ent.nodes) {
-					e.stats.CacheHits++
-					e.specHitLocked(ent)
-					results[i] = ent.result()
-					continue
-				}
-				// Stale or colliding entry: let resolve() drop and
-				// recompute it.
-			}
-			if err, ok := e.negGetLocked(cs, nk); ok {
+	e.scanLocked(req, sig, func(chip int, a chipAnswer, ent *cacheEntry, err error) {
+		switch a {
+		case chipExcluded:
+			errs[chip] = e.chips[chip].memoryErr(chip, req)
+		case chipResult:
+			e.stats.CacheHits++
+			costs[chip] = ent.cost
+		case chipError:
+			// Served by a cache entry, or else by the negative memo.
+			if ent != nil {
+				e.stats.CacheHits++
+			} else {
 				e.stats.NegHits++
-				errs[i] = err
-				continue
 			}
+			errs[chip] = err
+		case chipMiss:
+			misses = append(misses, chip)
 		}
-		misses = append(misses, i)
-	}
+	})
 	e.mu.Unlock()
 	// Misses fan out through the bounded mapper worker pool — the same
-	// workers MapAsync and Prewarm use — overflowing onto caller-owned
-	// goroutines when the pool is saturated, so a blocking rank can never
-	// deadlock behind its own queue.
+	// workers MapAsync uses — overflowing onto caller-owned goroutines
+	// when the pool is saturated, so a blocking rank can never deadlock
+	// behind its own queue.
 	var wg sync.WaitGroup
 	for _, i := range misses {
 		i := i
 		wg.Add(1)
 		fn := func() {
 			defer wg.Done()
-			results[i], errs[i] = e.resolve(i, req, sig, false)
+			var res core.MapResult
+			res, errs[i] = e.resolve(i, req, sig)
+			costs[i] = res.Cost
 		}
 		if !e.trySubmit(fn) {
 			go fn()
@@ -951,7 +768,7 @@ func (e *Engine) rank(req Request) ([]Candidate, error) {
 		}
 		cands = append(cands, Candidate{
 			Chip:  i,
-			Cost:  results[i].Cost,
+			Cost:  costs[i],
 			Price: e.chips[i].profile.PlacementPrice(k),
 		})
 	}
@@ -976,7 +793,59 @@ func (e *Engine) Resolve(chip int, req Request) (core.MapResult, error) {
 	if req.Topology == nil || req.Topology.NumNodes() == 0 {
 		return core.MapResult{}, fmt.Errorf("place: request needs a topology")
 	}
-	return e.resolve(chip, req, canonicalKey(req.Topology), false)
+	return e.resolve(chip, req, canonicalKey(req.Topology))
+}
+
+// chipAnswer is how scanLocked classifies one chip for a request.
+type chipAnswer uint8
+
+const (
+	chipExcluded chipAnswer = iota // the chip's memory pool cannot hold the request
+	chipResult                     // ent is a cached mapping whose nodes are still free
+	chipError                      // err is memoized: by cache entry ent, or (ent nil) the negative memo
+	chipMiss                       // the mapper must run
+)
+
+// scanLocked classifies every chip for the request against the cache and
+// the negative memo under the chips' current free sets, calling visit once
+// per chip in index order. It books nothing — Place, PlaceCached/PlaceHit
+// and MapAsync each account what they serve. Uncacheable requests and
+// cacheless engines miss on every adequate chip. A stale or colliding
+// cache entry (key match, nodes no longer free) is a miss: resolve drops
+// and recomputes it. Caller holds the engine mutex.
+func (e *Engine) scanLocked(req Request, sig string, visit func(chip int, a chipAnswer, ent *cacheEntry, err error)) {
+	cacheable := e.cache != nil && req.cacheable()
+	nk := negKey{topoSig: sig, strat: req.Strategy, nodeInsDel: req.MapOptions.NodeInsDel}
+	for i, cs := range e.chips {
+		if req.MemoryBytes > cs.profile.MemoryBytes {
+			visit(i, chipExcluded, nil, nil)
+			continue
+		}
+		if cacheable {
+			if ent, ok := e.cache.get(e.keyLocked(cs, req, sig)); ok {
+				if ent.err != nil {
+					visit(i, chipError, ent, ent.err)
+					continue
+				}
+				if cs.allFreeLocked(ent.nodes) {
+					visit(i, chipResult, ent, nil)
+					continue
+				}
+			}
+			if err, ok := e.negGetLocked(cs, nk); ok {
+				visit(i, chipError, nil, err)
+				continue
+			}
+		}
+		visit(i, chipMiss, nil, nil)
+	}
+}
+
+// memoryErr is the typed refusal of a request whose memory footprint
+// exceeds the chip's pool.
+func (cs *chipState) memoryErr(chip int, req Request) error {
+	return fmt.Errorf("place: request needs %d bytes of memory, chip %d (%s) has %d: %w",
+		req.MemoryBytes, chip, cs.profile.Name, cs.profile.MemoryBytes, core.ErrMemoryExceeded)
 }
 
 // keyLocked builds the cache key for a request on one chip's current free
@@ -992,11 +861,10 @@ func (e *Engine) keyLocked(cs *chipState, req Request, sig string) cacheKey {
 	}
 }
 
-func (e *Engine) resolve(chip int, req Request, sig string, speculative bool) (core.MapResult, error) {
+func (e *Engine) resolve(chip int, req Request, sig string) (core.MapResult, error) {
 	cs := e.chips[chip]
 	if req.MemoryBytes > cs.profile.MemoryBytes {
-		return core.MapResult{}, fmt.Errorf("place: request needs %d bytes of memory, chip %d (%s) has %d: %w",
-			req.MemoryBytes, chip, cs.profile.Name, cs.profile.MemoryBytes, core.ErrMemoryExceeded)
+		return core.MapResult{}, cs.memoryErr(chip, req)
 	}
 	if e.cache == nil || !req.cacheable() {
 		e.mu.Lock()
@@ -1018,14 +886,12 @@ func (e *Engine) resolve(chip int, req Request, sig string, speculative bool) (c
 		if ent, ok := e.cache.get(key); ok {
 			if ent.err != nil {
 				e.stats.CacheHits++
-				e.specHitLocked(ent)
 				err := ent.err
 				e.mu.Unlock()
 				return core.MapResult{}, err
 			}
 			if cs.allFreeLocked(ent.nodes) {
 				e.stats.CacheHits++
-				e.specHitLocked(ent)
 				res := ent.result()
 				e.mu.Unlock()
 				return res, nil
@@ -1033,11 +899,9 @@ func (e *Engine) resolve(chip int, req Request, sig string, speculative bool) (c
 			// Signature collision (or foreign churn): the memoized nodes
 			// are not free under the current set despite the key match.
 			// Never hand out such a placement — drop the entry and fall
-			// through to a fresh computation. (Not a capacity eviction, so
-			// only a wasted speculation is booked.)
-			if dropped := e.cache.remove(key); dropped != nil && dropped.spec {
-				e.stats.PrewarmWasted++
-			}
+			// through to a fresh computation (not a capacity eviction, so
+			// nothing is booked).
+			e.cache.remove(key)
 		}
 		// A failure memoized across free-set churn answers without a
 		// mapper run — the free-set signature moved, but the chip has no
@@ -1067,15 +931,13 @@ func (e *Engine) resolve(chip int, req Request, sig string, speculative bool) (c
 		e.stats.CacheMisses++
 		e.stats.MapTime += e.clk.Since(start)
 		e.negPutLocked(cs, nk, snapCount, snapGen, err)
-		evicted := e.cache.add(key, &cacheEntry{
+		e.stats.CacheEvictions += e.cache.add(key, &cacheEntry{
 			nodes:      append([]topo.NodeID(nil), res.Nodes...),
 			cost:       res.Cost,
 			candidates: res.Candidates,
 			connected:  res.Connected,
 			err:        err,
-			spec:       speculative,
 		})
-		e.bookEvictedLocked(evicted)
 		delete(e.flights, key)
 		e.mu.Unlock()
 		close(f.done)

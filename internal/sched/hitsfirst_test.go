@@ -127,6 +127,20 @@ func TestHitsFirstDispatchDoesNotBlockOnMapping(t *testing.T) {
 		t.Fatalf("WaitTurn after drain: %v", err)
 	}
 
+	// The popped mapReady slot was cleared: nothing in the backing array
+	// still reaches the finished job.
+	d.mu.Lock()
+	ready := d.mapReady[:cap(d.mapReady)]
+	d.mu.Unlock()
+	if len(ready) == 0 {
+		t.Fatal("mapReady never held the map-parked job")
+	}
+	for i, it := range ready {
+		if it != nil {
+			t.Fatalf("mapReady backing slot %d still holds popped job %q", i, it.Job.job.name)
+		}
+	}
+
 	s := d.Stats()
 	if s.MapParked == 0 {
 		t.Fatalf("no job parked on mapping: %+v", s)
@@ -159,4 +173,119 @@ func TestHitsFirstMapParkedDeadline(t *testing.T) {
 		t.Fatal("map-parked job outlived its deadline")
 	}
 	close(miss.mapped) // unblock the abandoned mapping edge
+}
+
+// recordingExec logs every executor call with the job it names,
+// implementing each optional ranking extension so none can be used
+// unseen. Rank announces itself on a job's inRank and parks until its
+// rankGate closes; Execute parks on its block.
+type recordingExec struct {
+	mu    sync.Mutex
+	calls []string // job names, one per executor call, in call order
+}
+
+type recordedJob struct {
+	name     string
+	inRank   chan struct{}
+	rankGate chan struct{}
+	block    chan struct{}
+}
+
+func (e *recordingExec) record(j *recordedJob) {
+	e.mu.Lock()
+	e.calls = append(e.calls, j.name)
+	e.mu.Unlock()
+}
+
+func (e *recordingExec) named() []string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return append([]string(nil), e.calls...)
+}
+
+func (e *recordingExec) Rank(j *recordedJob) ([]Candidate, error) {
+	e.record(j)
+	if j.rankGate != nil {
+		j.inRank <- struct{}{}
+		<-j.rankGate
+	}
+	return []Candidate{{Chip: 0}}, nil
+}
+
+func (e *recordingExec) RankCached(j *recordedJob) []Candidate { e.record(j); return nil }
+func (e *recordingExec) RankHit(j *recordedJob) []Candidate    { e.record(j); return nil }
+
+func (e *recordingExec) RankAsync(j *recordedJob) <-chan struct{} { e.record(j); return nil }
+
+func (e *recordingExec) Place(chip int, j *recordedJob) (int, error) { e.record(j); return chip, nil }
+
+func (e *recordingExec) Execute(ctx context.Context, chip, pl int, j *recordedJob) (string, time.Duration, error) {
+	e.record(j)
+	if j.block != nil {
+		<-j.block
+	}
+	return j.name, 0, nil
+}
+
+func (e *recordingExec) Release(chip, pl int) error { return nil }
+
+// TestDispatcherMapsOnlyWhatItPops: the executor hears about a job only
+// once the dispatcher has popped it. With the head held in Execute and
+// the next job held inside its own Rank, three more jobs sit queued and
+// no executor call may name them — no look-ahead ranks, maps or warms a
+// job that has not asked yet. (Backfill, the one sanctioned exception,
+// needs a capacity-parked head and is not triggered here.)
+func TestDispatcherMapsOnlyWhatItPops(t *testing.T) {
+	exec := &recordingExec{}
+	d, err := New[*recordedJob, int, string](exec, Config{Chips: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	jobs := []*recordedJob{
+		{name: "head", block: make(chan struct{})},
+		{name: "popped", inRank: make(chan struct{}, 1), rankGate: make(chan struct{})},
+		{name: "q1"}, {name: "q2"}, {name: "q3"},
+	}
+	handles := make([]*Handle[string], len(jobs))
+	for i, j := range jobs {
+		if handles[i], err = d.Submit(context.Background(), "t", 0, time.Time{}, j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The dispatcher is now inside Rank for the popped job, with q1..q3
+	// queued behind it.
+	<-jobs[1].inRank
+	for _, name := range exec.named() {
+		if name != "head" && name != "popped" {
+			t.Fatalf("executor called with queued job %q before it was popped (calls so far: %v)", name, exec.named())
+		}
+	}
+
+	close(jobs[1].rankGate)
+	close(jobs[0].block)
+	for _, h := range handles {
+		if _, err := h.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every job was first heard of in pop order.
+	var first []string
+	seen := map[string]bool{}
+	for _, name := range exec.named() {
+		if !seen[name] {
+			seen[name] = true
+			first = append(first, name)
+		}
+	}
+	want := []string{"head", "popped", "q1", "q2", "q3"}
+	if len(first) != len(want) {
+		t.Fatalf("first calls = %v, want %v", first, want)
+	}
+	for i := range want {
+		if first[i] != want[i] {
+			t.Fatalf("first calls = %v, want %v", first, want)
+		}
+	}
 }

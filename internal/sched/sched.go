@@ -192,12 +192,13 @@ type Stats struct {
 	Failed uint64
 	// ChipJobs counts jobs executed per chip.
 	ChipJobs []int
-	// HitsFirst counts jobs started through the hits-first fast path: a
-	// cached placement within the executor's regret bound, claimed
-	// without waiting for the full rank.
+	// HitsFirst counts jobs started through the hits-first fast path: an
+	// exact cached fit, claimed without waiting for the full rank.
 	HitsFirst uint64
-	// MapParked counts jobs whose dispatch parked on an async mapping
-	// (the mapReady edge) instead of blocking the dispatch loop.
+	// MapParked counts parks, not jobs: one tick each time a dispatch
+	// parked on an async mapping (the mapReady edge) instead of blocking
+	// the dispatch loop. A job whose free set moves under its mapping
+	// parks again, so MapParked may exceed the job count.
 	MapParked uint64
 	// Stolen counts queued jobs removed by Steal — work another shard's
 	// dispatcher took over. Stolen jobs are not counted in Submitted (the
@@ -396,9 +397,6 @@ type Dispatcher[Job, Placement, Result any] struct {
 	// queued for re-dispatch ahead of the queue.
 	mapWaits map[*queue.Item[*task[Job, Result]]]struct{}
 	mapReady []*queue.Item[*task[Job, Result]]
-	// prewarm, when set (SetPrewarm), is called with the next few queued
-	// jobs each time the dispatcher commits to placing one.
-	prewarm func(job Job)
 	// observer, when set (SetObserver), receives one callback per job
 	// lifecycle transition the dispatcher owns: admitted, placed (detail
 	// "hit"/"miss"/"map-parked"), executing, done/failed. Chip is -1 for
@@ -709,18 +707,6 @@ func (d *Dispatcher[Job, Placement, Result]) Steal(maxClass, max int) []Stolen[J
 	return out
 }
 
-// SetPrewarm installs a speculation hook: each time the dispatcher
-// commits to placing a job, the hook is called with the next few queued
-// jobs so the executor can warm its placement caches on spare cores
-// while the head's claim is in progress. The hook must not block — run
-// the actual work asynchronously and bounded. Install it before the
-// first Submit.
-func (d *Dispatcher[Job, Placement, Result]) SetPrewarm(fn func(job Job)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.prewarm = fn
-}
-
 // SetObserver installs the lifecycle trace hook: one callback per
 // transition the dispatcher owns — admitted (Submit succeeded), placed
 // (detail "hit"/"miss"/"map-parked"), executing, and done/failed. Chip
@@ -850,7 +836,12 @@ func (d *Dispatcher[Job, Placement, Result]) dispatch() {
 		ok := false
 		if len(d.mapReady) > 0 {
 			it = d.mapReady[0]
-			d.mapReady = d.mapReady[1:]
+			// Shift down and nil the vacated slot: reslicing from the front
+			// would keep the popped job (task, ctx, handle) reachable from
+			// the backing array until its next reallocation.
+			n := copy(d.mapReady, d.mapReady[1:])
+			d.mapReady[n] = nil
+			d.mapReady = d.mapReady[:n]
 			delete(d.mapWaits, it)
 			ok = true
 			if d.q.Better(it) {
@@ -890,29 +881,9 @@ func (d *Dispatcher[Job, Placement, Result]) dispatch() {
 			d.finishMiss(t)
 			continue
 		}
-		// Speculate on the jobs next in line while this one places: their
-		// placement scores warm concurrently and are cache hits by the
-		// time they pop (placement-decision latency, not chip time, is
-		// what stalls a saturated dispatcher).
-		d.mu.Lock()
-		prewarm := d.prewarm
-		var jobs []Job
-		if prewarm != nil {
-			for _, a := range d.q.InOrder(prewarmAhead) {
-				jobs = append(jobs, a.Job.job)
-			}
-		}
-		d.mu.Unlock()
-		for _, j := range jobs {
-			prewarm(j)
-		}
 		d.place(t, it)
 	}
 }
-
-// prewarmAhead is how many next-in-line queued jobs are speculatively
-// prewarmed per placement.
-const prewarmAhead = 4
 
 // unpark clears the parked ticket and wakes external waiters it was
 // blocking.
@@ -961,10 +932,9 @@ type CachedRanker[Job any] interface {
 // dispatch: mapping misses move off the dispatch loop entirely.
 //
 //   - RankHit lists only candidates the executor is willing to start
-//     immediately from cached placement state — typically cached
-//     mappings whose score is within a configured regret bound of the
-//     best any chip could offer. It must be cheap (no mapping work) and
-//     may return nil.
+//     immediately from cached placement state — cached mappings no
+//     full rank could beat (an exact fit). It must be cheap (no mapping
+//     work) and may return nil.
 //   - RankAsync starts (or joins) the asynchronous computation of the
 //     job's missing mappings, returning a channel closed when they have
 //     landed — the job parks on that mapReady edge while the dispatcher
@@ -985,17 +955,6 @@ type AsyncRanker[Job any] interface {
 	RankAsync(job Job) <-chan struct{}
 }
 
-// HitObserver is an optional Executor extension: after a hits-first
-// dispatch claims one of RankHit's candidates, ObserveHit receives the
-// job and the claimed candidate's edit-distance cost. The placement
-// layer uses it to sample realized regret — what starting early actually
-// cost versus the full rank the job skipped. It is called outside the
-// dispatcher's lock and must not block the dispatch loop (fire-and-forget
-// measurement, not accounting).
-type HitObserver[Job any] interface {
-	ObserveHit(job Job, cost float64)
-}
-
 // tryClaim ranks the chips and claims the best available one for t,
 // handing it to that chip's worker. head marks the dispatcher's
 // head-of-line attempt, whose parked ticket must clear in the same
@@ -1006,7 +965,7 @@ func (d *Dispatcher[Job, Placement, Result]) tryClaim(t *task[Job, Result], head
 	// scores every chip from its mapping cache (the formerly dominant
 	// per-chip dry-run cost of dispatch).
 	cands, rankErr := d.exec.Rank(t.job)
-	_, ok, placeErr := d.claimFrom(cands, t, head, "miss")
+	ok, placeErr := d.claimFrom(cands, t, head, "miss")
 	if ok {
 		return true, nil
 	}
@@ -1017,13 +976,11 @@ func (d *Dispatcher[Job, Placement, Result]) tryClaim(t *task[Job, Result], head
 }
 
 // claimFrom tries the candidates in score order, claiming the first
-// chip whose Place succeeds and handing the job to that chip's worker;
-// the claimed candidate is returned so hits-first callers can report its
-// score to the executor (see HitObserver). detail tags the trace event
-// for a successful claim — "hit" for cache-served candidate lists,
-// "miss" for fully ranked ones. It reports the last Place error when
-// every candidate refused.
-func (d *Dispatcher[Job, Placement, Result]) claimFrom(cands []Candidate, t *task[Job, Result], head bool, detail string) (Candidate, bool, error) {
+// chip whose Place succeeds and handing the job to that chip's worker.
+// detail tags the trace event for a successful claim — "hit" for
+// cache-served candidate lists, "miss" for fully ranked ones. It reports
+// the last Place error when every candidate refused.
+func (d *Dispatcher[Job, Placement, Result]) claimFrom(cands []Candidate, t *task[Job, Result], head bool, detail string) (bool, error) {
 	sort.SliceStable(cands, func(i, j int) bool {
 		return cands[i].Score.less(cands[j].Score)
 	})
@@ -1050,9 +1007,9 @@ func (d *Dispatcher[Job, Placement, Result]) claimFrom(cands []Candidate, t *tas
 			d.observer(t.job, obs.StagePlaced, detail, chip)
 		}
 		d.deliver(chip, t, pl)
-		return c, true, nil
+		return true, nil
 	}
-	return Candidate{}, false, lastErr
+	return false, lastErr
 }
 
 // deliver hands a claimed placement to its chip worker. The send blocks
@@ -1121,7 +1078,7 @@ func (d *Dispatcher[Job, Placement, Result]) backfillOne() bool {
 			fullRankSpent = true
 			ok, _ = d.tryClaim(t, false)
 		} else {
-			_, ok, _ = d.claimFrom(cr.RankCached(t.job), t, false, "hit")
+			ok, _ = d.claimFrom(cr.RankCached(t.job), t, false, "hit")
 		}
 		if !ok {
 			continue
@@ -1180,8 +1137,8 @@ func (d *Dispatcher[Job, Placement, Result]) parkForMapping(t *task[Job, Result]
 }
 
 // place claims a chip for the job the dispatcher popped — hits-first
-// when the executor supports it: a cached placement within the regret
-// bound starts immediately, a mapping miss parks the job on the async
+// when the executor supports it: an exact cached fit starts
+// immediately, a mapping miss parks the job on the async
 // mappers' mapReady edge (the dispatch loop moves on). When no chip can
 // host it, it reclaims external capacity, backfills smaller queued
 // jobs into holes the head cannot use, and parks until a release —
@@ -1200,13 +1157,10 @@ func (d *Dispatcher[Job, Placement, Result]) place(t *task[Job, Result], it *que
 	for {
 		if hitsFirst {
 			if cands := ar.RankHit(t.job); len(cands) > 0 {
-				if won, ok, _ := d.claimFrom(cands, t, true, "hit"); ok {
+				if ok, _ := d.claimFrom(cands, t, true, "hit"); ok {
 					d.mu.Lock()
 					d.stats.HitsFirst++
 					d.mu.Unlock()
-					if ho, obs := d.exec.(HitObserver[Job]); obs {
-						ho.ObserveHit(t.job, won.Score.Cost)
-					}
 					return
 				}
 			}

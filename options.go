@@ -131,9 +131,9 @@ func WithAgingRounds(rounds int) ClusterOption {
 
 // WithMapperWorkers sizes the placement engine's async mapper worker
 // pool (default place.DefaultWorkers; n <= 0 selects the default).
-// Mapping misses — hits-first parked jobs, prewarm speculation and
-// blocking placements alike — compute on these workers, so at most n
-// topology mappings run concurrently on behalf of the serving paths.
+// Mapping misses — hits-first parked jobs and blocking placements alike
+// — compute on these workers, so at most n topology mappings run
+// concurrently on behalf of the serving paths.
 // Size it to the cores you can spare beside the simulator: more workers
 // drain mapping backlogs faster under shape churn, fewer keep the mapper
 // from competing with job execution on small hosts.
@@ -149,45 +149,6 @@ func WithMapperWorkers(n int) ClusterOption {
 // latency percentiles then move only when the clock is advanced.
 func WithClock(clk Clock) ClusterOption {
 	return func(c *clusterConfig) { c.clock = clk }
-}
-
-// WithPlacementRegret sets the hits-first regret tolerance in edit-
-// distance units (default 0). A job whose topology has a cached valid
-// mapping of cost <= r on some adequate chip starts there immediately —
-// without waiting for the mappings of the remaining chips — so its
-// placement cost exceeds the exhaustive cold optimum by at most r (the
-// optimum is never negative; property-tested). r = 0 admits only exact
-// (cost-0) cached placements to the fast path; larger r trades placement
-// quality for dispatch latency on fragmented fleets. A negative r
-// disables hits-first dispatch entirely: every job waits for its full
-// rank, restoring the strict cached==cold ordering of earlier releases.
-//
-// The bound covers the edit-distance score only: chip-price and load
-// tiebreaks among equal-cost placements may still differ from the cold
-// rank's choice.
-func WithPlacementRegret(r float64) ClusterOption {
-	return func(c *clusterConfig) { c.regret = &r }
-}
-
-// WithPlacementRegretTarget replaces the static hits-first bound with a
-// closed-loop one: the cluster adjusts the live regret bound so the
-// pct-quantile (0 < pct <= 1, e.g. 0.99) of the realized regret
-// distribution — sampled per hits-first dispatch into the window
-// PlacementStats reports — stays at or under target edit-distance units.
-// The controller grows the bound while realized regret runs comfortably
-// under the target (admitting more dispatches to the fast path) and
-// shrinks it toward the target when the quantile overshoots, so the
-// bound tracks fleet fragmentation instead of being hand-tuned per
-// workload. A WithPlacementRegret value, when also given, seeds the
-// bound; it is never tuned below target (a bound of target satisfies
-// the objective trivially, since realized regret cannot exceed the
-// bound in force when the job dispatched). Read the live bound with
-// Cluster.RegretBound.
-func WithPlacementRegretTarget(pct, target float64) ClusterOption {
-	return func(c *clusterConfig) {
-		c.regretTargetPct = &pct
-		c.regretTarget = target
-	}
 }
 
 // WithTracing records every job's lifecycle transitions (submit →

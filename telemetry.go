@@ -227,8 +227,8 @@ func (c *Cluster) collect(emit func(obs.Sample)) {
 		obs.Label{Key: "reason", Value: "queue_full"})
 	counter("vnpu_jobs_rejected_total", "Submissions refused at admission.", float64(cs.RejectedQuota),
 		obs.Label{Key: "reason", Value: "quota"})
-	counter("vnpu_jobs_hits_first_total", "Dispatcher jobs started on a cached placement within the regret bound.", float64(cs.HitsFirst))
-	counter("vnpu_jobs_map_parked_total", "Dispatcher jobs parked on an async mapping.", float64(cs.MapParked))
+	counter("vnpu_jobs_hits_first_total", "Dispatcher jobs started on an exact cached fit.", float64(cs.HitsFirst))
+	counter("vnpu_jobs_map_parked_total", "Times a dispatch parked on an async mapping (a job may park more than once).", float64(cs.MapParked))
 	for i := range cs.ChipJobs {
 		chip := obs.Label{Key: "chip", Value: strconv.Itoa(i)}
 		counter("vnpu_chip_jobs_total", "Jobs executed per chip.", float64(cs.ChipJobs[i]), chip)
@@ -256,8 +256,6 @@ func (c *Cluster) collect(emit func(obs.Sample)) {
 	counter("vnpu_placement_decision_seconds_total", "Cumulative time spent in placement decisions.", ps.PlaceTime.Seconds())
 	counter("vnpu_placement_map_seconds_total", "Cumulative time spent inside the topology mapper.", ps.MapTime.Seconds())
 	counter("vnpu_placement_async_maps_total", "Mapping computations scheduled on the async mapper workers.", float64(ps.AsyncMaps))
-	counter("vnpu_placement_prewarm_runs_total", "Speculative mapper computations started by prewarm.", float64(ps.PrewarmRuns))
-	counter("vnpu_placement_prewarm_hits_total", "Cache hits served from prewarmed entries.", float64(ps.PrewarmHits))
 	counter("vnpu_placement_negative_hits_total", "Mapping failures served from the negative-result memo.", float64(ps.NegHits))
 	counter("vnpu_placement_map_workers", "Mapper worker-pool size (adaptive between 1 and the configured bound).", float64(ps.MapWorkers))
 	counter("vnpu_placement_map_grow_vetoed_total", "Mapper-pool growth declined because chip execution slots were saturated.", float64(ps.MapGrowVetoed))
