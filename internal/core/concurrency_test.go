@@ -92,7 +92,7 @@ func TestHypervisorConcurrentChurn(t *testing.T) {
 	}
 
 	// After the churn everything must have been rolled back or destroyed.
-	if got := len(hv.FreeCores()); got != dev.Config().Cores() {
+	if got := freeCores(t, hv); got != dev.Config().Cores() {
 		t.Fatalf("%d cores free after churn, want %d", got, dev.Config().Cores())
 	}
 	if u := hv.Utilization(); u != 0 {
@@ -111,7 +111,7 @@ func TestCreateRollbackOnFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	free := len(hv.FreeCores())
+	free := freeCores(t, hv)
 
 	// Memory larger than the HBM pool can never be satisfied — a budget
 	// violation, not transient capacity pressure.
@@ -122,7 +122,7 @@ func TestCreateRollbackOnFailure(t *testing.T) {
 	if !errors.Is(err, ErrMemoryExceeded) {
 		t.Fatalf("got %v, want ErrMemoryExceeded", err)
 	}
-	if got := len(hv.FreeCores()); got != free {
+	if got := freeCores(t, hv); got != free {
 		t.Fatalf("%d cores free after failed create, want %d", got, free)
 	}
 
@@ -136,7 +136,7 @@ func TestCreateRollbackOnFailure(t *testing.T) {
 	if !errors.Is(err, ErrMemoryExceeded) {
 		t.Fatalf("got %v, want ErrMemoryExceeded", err)
 	}
-	if got := len(hv.FreeCores()); got != free {
+	if got := freeCores(t, hv); got != free {
 		t.Fatalf("%d cores free after failed KV create, want %d", got, free)
 	}
 	// And a successful create must still work afterwards.

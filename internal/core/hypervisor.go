@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -69,12 +70,13 @@ const guestVABase = 1 << 32
 type Hypervisor struct {
 	dev *npu.Device
 
-	mu     sync.Mutex
-	free   map[topo.NodeID]bool
-	vms    map[VMID]*VNPU
-	nextVM VMID
-	buddy  *mem.Buddy
-	nextCh int
+	mu        sync.Mutex
+	free      map[topo.NodeID]bool
+	freeCount int // how many entries of free are true
+	vms       map[VMID]*VNPU
+	nextVM    VMID
+	buddy     *mem.Buddy
+	nextCh    int
 }
 
 // NewHypervisor takes ownership of the device: it enters hyper mode and
@@ -94,7 +96,7 @@ func NewHypervisor(dev *npu.Device) (*Hypervisor, error) {
 		buddy:  buddy,
 	}
 	for _, id := range dev.Graph().Nodes() {
-		h.free[id] = true
+		h.setFree(id, true)
 		c, err := dev.Core(id)
 		if err != nil {
 			return nil, err
@@ -122,22 +124,41 @@ func (h *Hypervisor) FreeCores() []topo.NodeID {
 }
 
 func (h *Hypervisor) freeCoresLocked() []topo.NodeID {
-	out := make([]topo.NodeID, 0, len(h.free))
+	out := make([]topo.NodeID, 0, h.freeCount)
 	for id, ok := range h.free {
 		if ok {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
+}
+
+// FreeCount reports how many cores are unallocated: len(FreeCores())
+// without building the list.
+func (h *Hypervisor) FreeCount() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.freeCount
+}
+
+// setFree moves a core into or out of the free pool, keeping the count.
+// The caller holds the hypervisor lock.
+func (h *Hypervisor) setFree(node topo.NodeID, free bool) {
+	if h.free[node] != free {
+		h.free[node] = free
+		if free {
+			h.freeCount++
+		} else {
+			h.freeCount--
+		}
+	}
 }
 
 // Utilization reports the fraction of cores currently allocated.
 func (h *Hypervisor) Utilization() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	total := h.dev.Config().Cores()
-	return float64(total-len(h.freeCoresLocked())) / float64(total)
+	return float64(total-h.FreeCount()) / float64(total)
 }
 
 // VNPUs lists live virtual NPUs in creation order.
@@ -167,7 +188,7 @@ func (h *Hypervisor) Reserve(nodes ...topo.NodeID) error {
 		}
 	}
 	for _, n := range nodes {
-		h.free[n] = false
+		h.setFree(n, false)
 	}
 	return nil
 }
@@ -333,7 +354,7 @@ func (h *Hypervisor) createMappedLocked(req Request, mapRes MapResult) (*VNPU, e
 			rollback()
 			return nil, err
 		}
-		h.free[node] = false
+		h.setFree(node, false)
 		h.dev.NoC().SetOwner(node, int(vm))
 		configured = append(configured, node)
 		if req.KVBufferBytes > 0 {
@@ -427,7 +448,7 @@ func (h *Hypervisor) Destroy(vm VMID) error {
 // the per-core setup in CreateVNPU. Both Destroy and the create rollback
 // go through it so teardown cannot drift between the two paths.
 func (h *Hypervisor) releaseCore(node topo.NodeID) error {
-	h.free[node] = true
+	h.setFree(node, true)
 	h.dev.NoC().SetOwner(node, noc.Unowned)
 	coreObj, err := h.dev.Core(node)
 	if err != nil {

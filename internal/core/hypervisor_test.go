@@ -2,10 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/vnpu-sim/vnpu/internal/isa"
 	"github.com/vnpu-sim/vnpu/internal/mem"
+	"github.com/vnpu-sim/vnpu/internal/noc"
 	"github.com/vnpu-sim/vnpu/internal/npu"
 	"github.com/vnpu-sim/vnpu/internal/topo"
 )
@@ -21,6 +24,17 @@ func newHV(t *testing.T, cfg npu.Config) *Hypervisor {
 		t.Fatal(err)
 	}
 	return h
+}
+
+// freeCores is len(FreeCores()), held against the count the hypervisor
+// keeps beside the free map.
+func freeCores(t *testing.T, h *Hypervisor) int {
+	t.Helper()
+	n := len(h.FreeCores())
+	if c := h.FreeCount(); c != n {
+		t.Fatalf("FreeCount = %d with %d cores on the free list", c, n)
+	}
+	return n
 }
 
 func TestCreateVNPUBasics(t *testing.T) {
@@ -149,14 +163,14 @@ func TestDestroyReleasesResources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h.FreeCores()) != 0 {
+	if freeCores(t, h) != 0 {
 		t.Fatal("chip should be full")
 	}
 	if err := h.Destroy(v.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if len(h.FreeCores()) != 8 {
-		t.Fatalf("free cores = %d, want 8", len(h.FreeCores()))
+	if freeCores(t, h) != 8 {
+		t.Fatalf("free cores = %d, want 8", freeCores(t, h))
 	}
 	// Memory is reusable: allocate the same amount again.
 	if _, err := h.CreateVNPU(Request{Topology: topo.Mesh2D(2, 4), MemoryBytes: 8 << 20}); err != nil {
@@ -236,10 +250,11 @@ func TestConfinedRoutingStaysInside(t *testing.T) {
 	for _, n := range v.Nodes() {
 		inside[n] = true
 	}
-	p, err := v.path(v.Nodes()[0], v.Nodes()[2])
+	r, err := v.route(v.Nodes()[0], v.Nodes()[2])
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := r.Nodes()
 	for _, n := range p {
 		if !inside[n] {
 			t.Fatalf("confined path %v escapes the vNPU at %d", p, n)
@@ -259,7 +274,7 @@ func TestUnconfinedVNPUUsesDOR(t *testing.T) {
 	if !v.Interfering() {
 		t.Fatal("unconfined vNPU may interfere by definition")
 	}
-	if _, err := v.path(v.Nodes()[0], v.Nodes()[3]); err != nil {
+	if _, err := v.route(v.Nodes()[0], v.Nodes()[3]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -387,8 +402,8 @@ func TestOutOfMemory(t *testing.T) {
 		t.Fatal("oversized memory request must fail")
 	}
 	// Failed creation must not leak cores.
-	if len(h.FreeCores()) != 8 {
-		t.Fatalf("free cores = %d after failed create, want 8", len(h.FreeCores()))
+	if freeCores(t, h) != 8 {
+		t.Fatalf("free cores = %d after failed create, want 8", freeCores(t, h))
 	}
 }
 
@@ -424,7 +439,7 @@ func TestCreateVNPUPlaced(t *testing.T) {
 	if _, err := h.CreateVNPUPlaced(req, mapRes); !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("stale placement: got %v, want ErrNoCapacity", err)
 	}
-	free := len(h.FreeCores())
+	free := freeCores(t, h)
 	if free != 4 {
 		t.Fatalf("stale create changed the chip: %d free cores, want 4", free)
 	}
@@ -448,5 +463,114 @@ func TestCreateVNPUPlaced(t *testing.T) {
 	dup := MapResult{Nodes: []topo.NodeID{0, 0, 1, 2}}
 	if _, err := h.CreateVNPUPlaced(req, dup); err == nil {
 		t.Fatal("duplicate-node placement accepted")
+	}
+}
+
+// TestConfinedRoutesBelongToTheVNPU: a confined route depends on the
+// vNPU's own cores, so the next vNPU over the same two endpoints with a
+// different region gets its own — never the one its predecessor resolved
+// — while the chip's dimension-order route between them is one object
+// for everybody.
+func TestConfinedRoutesBelongToTheVNPU(t *testing.T) {
+	h := newHV(t, npu.SimConfig())
+	place := func(confined bool, nodes ...topo.NodeID) *VNPU {
+		t.Helper()
+		v, err := h.CreateVNPUPlaced(Request{Topology: topo.Chain(3), Confined: confined},
+			MapResult{Nodes: nodes, Connected: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	route := func(v *VNPU) *noc.Route {
+		t.Helper()
+		r, err := v.route(0, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := v.route(0, 7); again != r {
+			t.Fatal("the route was resolved twice")
+		}
+		return r
+	}
+	over1 := place(true, 0, 1, 7)
+	if got := fmt.Sprint(route(over1).Nodes()); got != "[0 1 7]" {
+		t.Fatalf("confined to {0,1,7}: route %s", got)
+	}
+	if err := h.Destroy(over1.ID()); err != nil {
+		t.Fatal(err)
+	}
+	over6 := place(true, 0, 6, 7)
+	if got := fmt.Sprint(route(over6).Nodes()); got != "[0 6 7]" {
+		t.Fatalf("confined to {0,6,7} after a vNPU on {0,1,7}: route %s leaves the region", got)
+	}
+	if err := h.Destroy(over6.ID()); err != nil {
+		t.Fatal(err)
+	}
+	free := place(false, 0, 6, 7)
+	dor, err := h.Device().NoC().DOR(0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := route(free); r != dor || fmt.Sprint(r.Nodes()) != "[0 1 7]" {
+		t.Fatalf("unconfined route %v is not the chip's dimension-order route %v", r.Nodes(), dor.Nodes())
+	}
+}
+
+// TestRecycledDomainRunsAsFresh: a vNPU whose domain opens on the link
+// calendars and the bank an earlier, larger job left behind runs to the
+// cycles it takes on a chip nothing has run on.
+func TestRecycledDomainRunsAsFresh(t *testing.T) {
+	// Every core sends to every other, sizes from one byte to hundreds of
+	// packets, so routes of several hops cross inside the domain.
+	allToAll := func(k int) *isa.Program {
+		p := isa.NewProgram()
+		tag := uint16(0)
+		for a := 0; a < k; a++ {
+			for b := 0; b < k; b++ {
+				if a == b {
+					continue
+				}
+				tag++
+				size := uint32(1 + (a*k+b)*37%300*2048/7)
+				p.Append(isa.CoreID(a), isa.Instr{Op: isa.OpSend, Peer: isa.CoreID(b), Tag: tag, Size: size})
+				p.Append(isa.CoreID(b), isa.Instr{Op: isa.OpRecv, Peer: isa.CoreID(a), Tag: tag, Size: size})
+			}
+		}
+		return p
+	}
+	run := func(h *Hypervisor, shape *topo.Graph, confined bool) npu.Result {
+		t.Helper()
+		v, err := h.CreateVNPU(Request{Topology: shape, Confined: confined})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.OpenDomain(); err != nil {
+			t.Fatal(err)
+		}
+		// No ResetForRun: a domain opens clean or this fails.
+		res, err := h.Device().Run(allToAll(v.NumCores()), v.Placement(), v.Fabric(), npu.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Destroy(v.ID()); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	used := newHV(t, npu.SimConfig())
+	for round, job := range []struct {
+		shape    *topo.Graph
+		confined bool
+	}{
+		{topo.Mesh2D(3, 3), false},
+		{topo.Chain(3), true}, // fewer links than the domain has booked before
+		{topo.NearMesh(7), true},
+		{topo.Mesh2D(3, 3), false},
+	} {
+		got, want := run(used, job.shape, job.confined), run(newHV(t, npu.SimConfig()), job.shape, job.confined)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d on the reused chip: %+v, fresh chip %+v", round, got, want)
+		}
 	}
 }

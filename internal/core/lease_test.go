@@ -33,7 +33,7 @@ func TestDestroyRefusesLeasedVNPU(t *testing.T) {
 	if err := hv.Destroy(v.ID()); !errors.Is(err, ErrLeased) {
 		t.Fatalf("want ErrLeased, got %v", err)
 	}
-	if len(hv.FreeCores()) != dev.Config().Cores()-4 {
+	if freeCores(t, hv) != dev.Config().Cores()-4 {
 		t.Fatal("refused destroy must leave the allocation intact")
 	}
 
@@ -44,7 +44,7 @@ func TestDestroyRefusesLeasedVNPU(t *testing.T) {
 	if err := hv.Destroy(v.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if len(hv.FreeCores()) != dev.Config().Cores() {
+	if freeCores(t, hv) != dev.Config().Cores() {
 		t.Fatal("destroy did not free the cores")
 	}
 }

@@ -58,19 +58,19 @@ func (v *VNPU) NoCTableFor(vcore isa.CoreID) (NoCTable, error) {
 			return NoCTable{}, err
 		}
 		entry := NoCTableEntry{VCore: dstV, PCore: dstP, Direction: noc.DirNone}
-		path, err := v.path(src, dstP)
+		r, err := v.route(src, dstP)
 		if err != nil {
 			return NoCTable{}, err
 		}
-		if len(path) >= 2 {
+		if path := r.Nodes(); len(path) >= 2 {
 			dirs, err := noc.PathDirections(v.dev.Graph(), path[:2])
 			if err != nil {
 				return NoCTable{}, err
 			}
 			// Record an explicit direction only when it overrides DOR —
 			// the optimization that keeps regular-topology tables empty.
-			dor, derr := noc.DORPath(v.dev.Graph(), src, dstP)
-			if derr != nil || len(dor) < 2 || dor[1] != path[1] {
+			dor, derr := v.dev.NoC().DOR(src, dstP)
+			if derr != nil || len(dor.Nodes()) < 2 || dor.Nodes()[1] != path[1] {
 				entry.Direction = dirs[0]
 			}
 		}

@@ -111,7 +111,7 @@ func TestKVBufferTooLarge(t *testing.T) {
 	if _, err := h.CreateVNPU(Request{Topology: topoMesh22(), KVBufferBytes: 1 << 30}); err == nil {
 		t.Fatal("oversized KV buffer must fail")
 	}
-	if len(h.FreeCores()) != 8 {
+	if freeCores(t, h) != 8 {
 		t.Fatal("failed creation must not leak cores")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -65,7 +66,10 @@ type VNPU struct {
 	memBytes    uint64
 	rttEntries  int
 	blocks      []memBlock
-	paths       map[[2]topo.NodeID][]topo.NodeID
+	// routes holds a confined vNPU's own routes, k×k by virtual core,
+	// each resolved on first use. They depend on the allowed set, so they
+	// live and die with the vNPU; dimension-order routes are the chip's.
+	routes      []*noc.Route
 	interfering bool // true when confined routing was impossible (fragments)
 	port        *mem.Port
 	kvBytes     int64
@@ -153,14 +157,14 @@ func (v *VNPU) Fabric() npu.Fabric { return &vnpuFabric{v: v} }
 type vnpuFabric struct{ v *VNPU }
 
 func (f *vnpuFabric) Transfer(start sim.Cycles, src, dst topo.NodeID, size int) (sim.Cycles, error) {
-	path, err := f.v.path(src, dst)
+	r, err := f.v.route(src, dst)
 	if err != nil {
 		return start, err
 	}
 	if f.v.dom != nil {
-		return f.v.dom.NoC().Transfer(start+VRouterNoCOverheadCycles, path, size, int(f.v.id))
+		return f.v.dom.NoC().Send(start+VRouterNoCOverheadCycles, r, size, int(f.v.id))
 	}
-	return f.v.dev.NoC().Transfer(start+VRouterNoCOverheadCycles, path, size, int(f.v.id))
+	return f.v.dev.NoC().Send(start+VRouterNoCOverheadCycles, r, size, int(f.v.id))
 }
 
 // OpenDomain gives the vNPU a private timing domain: NoC link calendars
@@ -222,33 +226,37 @@ func (v *VNPU) ResetForRun() {
 	v.dev.ResetCoreTransients(v.nodes)
 }
 
-// path returns (and caches) the route between two of the vNPU's physical
-// cores: a confined shortest path when non-interference was requested and
-// the region allows it, DOR otherwise (§4.1.2's two routing strategies).
-func (v *VNPU) path(src, dst topo.NodeID) ([]topo.NodeID, error) {
-	key := [2]topo.NodeID{src, dst}
-	if p, ok := v.paths[key]; ok {
-		return p, nil
+// route returns the route between two of the vNPU's physical cores: a
+// confined shortest path when non-interference was requested and the
+// region allows it, the chip's DOR route otherwise (§4.1.2's two routing
+// strategies).
+func (v *VNPU) route(src, dst topo.NodeID) (*noc.Route, error) {
+	net := v.dev.NoC()
+	if !v.confined || v.interfering {
+		return net.DOR(src, dst)
 	}
-	g := v.dev.Graph()
-	var p []topo.NodeID
-	var err error
-	if v.confined && !v.interfering {
-		p, err = noc.ConstrainedPath(g, src, dst, v.allowed)
-		if err != nil {
-			return nil, fmt.Errorf("core: vNPU %d: %w", v.id, err)
-		}
-	} else {
-		p, err = noc.DORPath(g, src, dst)
-		if err != nil {
-			return nil, err
+	k := len(v.nodes)
+	s, d := slices.Index(v.nodes, src), slices.Index(v.nodes, dst)
+	if s >= 0 && d >= 0 && v.routes != nil {
+		if r := v.routes[s*k+d]; r != nil {
+			return r, nil
 		}
 	}
-	if v.paths == nil {
-		v.paths = make(map[[2]topo.NodeID][]topo.NodeID)
+	// ConstrainedPath refuses an endpoint outside the vNPU, so past it
+	// both indices are valid.
+	path, err := noc.ConstrainedPath(net.Graph(), src, dst, v.allowed)
+	if err != nil {
+		return nil, fmt.Errorf("core: vNPU %d: %w", v.id, err)
 	}
-	v.paths[key] = p
-	return p, nil
+	r, err := net.Resolve(path)
+	if err != nil {
+		return nil, err
+	}
+	if v.routes == nil {
+		v.routes = make([]*noc.Route, k*k)
+	}
+	v.routes[s*k+d] = r
+	return r, nil
 }
 
 // Interfering reports whether this vNPU's traffic may cross foreign cores

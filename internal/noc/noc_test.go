@@ -275,8 +275,8 @@ func TestWormholeLongPathsConsumeMoreLinkTime(t *testing.T) {
 
 func totalLinkBusy(n *Network) sim.Cycles {
 	var total sim.Cycles
-	for _, l := range n.links {
-		total += l.BusyTotal()
+	for i := range n.global.links {
+		total += n.global.links[i].BusyTotal()
 	}
 	return total
 }

@@ -2,65 +2,135 @@ package noc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"github.com/vnpu-sim/vnpu/internal/topo"
 )
 
+// Route is a path resolved against a Network: its nodes, the directed
+// link behind every hop, and the routers between the endpoints, whose
+// owners decide interference. A route is immutable; any number of
+// transfers, in any domain of the network that resolved it, may share it.
+type Route struct {
+	nodes []topo.NodeID
+	links []int32 // per hop, the network's index of the directed link
+	inner []int32 // positions of nodes[1 : len(nodes)-1]
+}
+
+// Nodes returns the route's cores, source first. The slice is the
+// route's own: read-only.
+func (r *Route) Nodes() []topo.NodeID { return r.nodes }
+
+// Resolve checks that consecutive nodes of path are linked and binds each
+// hop to its link. A path of fewer than two nodes resolves to a route
+// that cannot be sent on. A path that takes one directed link twice is
+// refused: a wormhole packet would wait on itself.
+func (n *Network) Resolve(path []topo.NodeID) (*Route, error) {
+	r := new(Route)
+	if err := n.resolve(r, append([]topo.NodeID(nil), path...)); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// resolve fills r with the route along path, which r keeps.
+func (n *Network) resolve(r *Route, path []topo.NodeID) error {
+	r.nodes = path
+	if len(path) < 2 {
+		return nil
+	}
+	hops := len(path) - 1
+	buf := make([]int32, 2*hops-1)
+	r.links, r.inner = buf[:hops:hops], buf[hops:]
+	from, known := n.view.Pos(path[0])
+	for i, id := range path[1:] {
+		to, ok := n.view.Pos(id)
+		link := int32(-1)
+		if known && ok {
+			if k, linked := slices.BinarySearch(n.view.Nbrs[from], to); linked {
+				link = n.linkBase[from] + int32(k)
+			}
+		}
+		if link < 0 {
+			return fmt.Errorf("noc: no link %d -> %d", path[i], id)
+		}
+		if slices.Contains(r.links[:i], link) {
+			return fmt.Errorf("noc: path takes link %d -> %d twice", path[i], id)
+		}
+		r.links[i] = link
+		if i < len(r.inner) {
+			r.inner[i] = int32(to)
+		}
+		from, known = to, ok
+	}
+	return nil
+}
+
+// DOR returns the dimension-order route between two cores, the
+// deadlock-free default routing of §4.1.2. It is a function of the chip
+// alone, so the network builds each pair's route once and every vNPU,
+// domain and bare-metal fabric reads the same one.
+func (n *Network) DOR(src, dst topo.NodeID) (*Route, error) {
+	s, ok1 := n.view.Pos(src)
+	d, ok2 := n.view.Pos(dst)
+	var slot *atomic.Pointer[Route]
+	if ok1 && ok2 {
+		slot = &n.dor[s*len(n.view.IDs)+d]
+		if r := slot.Load(); r != nil {
+			return r, nil
+		}
+	}
+	path, err := DORPath(n.graph, src, dst)
+	if err != nil {
+		return nil, err
+	}
+	r := new(Route)
+	if err := n.resolve(r, path); err != nil {
+		return nil, err
+	}
+	if slot != nil {
+		slot.Store(r)
+	}
+	return r, nil
+}
+
 // DORPath computes the dimension-order route (X first, then Y) between two
-// mesh nodes — the deadlock-free default routing of §4.1.2. Both nodes
-// must carry mesh coordinates, and the mesh must contain every
-// intermediate node; otherwise an error is returned.
+// mesh nodes. Both nodes must carry mesh coordinates, and the mesh must
+// contain every intermediate node; otherwise an error is returned.
 func DORPath(g *topo.Graph, src, dst topo.NodeID) ([]topo.NodeID, error) {
 	if src == dst {
 		return []topo.NodeID{src}, nil
 	}
-	sc, ok1 := g.CoordOf(src)
+	cur, ok1 := g.CoordOf(src)
 	dc, ok2 := g.CoordOf(dst)
 	if !ok1 || !ok2 {
 		return nil, fmt.Errorf("noc: DOR needs mesh coordinates for %d and %d", src, dst)
 	}
-	byCoord := make(map[topo.Coord]topo.NodeID, g.NumNodes())
-	for _, id := range g.Nodes() {
-		if c, ok := g.CoordOf(id); ok {
-			byCoord[c] = id
+	v := topo.ViewOf(g)
+	path := make([]topo.NodeID, 1, 1+topo.Manhattan(cur, dc))
+	path[0] = src
+	for cur != dc {
+		switch {
+		case dc.X > cur.X:
+			cur.X++
+		case dc.X < cur.X:
+			cur.X--
+		case dc.Y > cur.Y:
+			cur.Y++
+		default:
+			cur.Y--
 		}
-	}
-	path := []topo.NodeID{src}
-	cur := sc
-	step := func(next topo.Coord) error {
-		id, ok := byCoord[next]
+		p, ok := v.At(cur)
 		if !ok {
-			return fmt.Errorf("noc: DOR path leaves the mesh at (%d,%d)", next.X, next.Y)
+			return nil, fmt.Errorf("noc: DOR path leaves the mesh at (%d,%d)", cur.X, cur.Y)
 		}
-		if !g.HasEdge(path[len(path)-1], id) {
-			return fmt.Errorf("noc: missing mesh link %d -> %d", path[len(path)-1], id)
+		prev, id := path[len(path)-1], v.IDs[p]
+		if !g.HasEdge(prev, id) {
+			return nil, fmt.Errorf("noc: missing mesh link %d -> %d", prev, id)
 		}
 		path = append(path, id)
-		cur = next
-		return nil
-	}
-	for cur.X != dc.X {
-		next := cur
-		if dc.X > cur.X {
-			next.X++
-		} else {
-			next.X--
-		}
-		if err := step(next); err != nil {
-			return nil, err
-		}
-	}
-	for cur.Y != dc.Y {
-		next := cur
-		if dc.Y > cur.Y {
-			next.Y++
-		} else {
-			next.Y--
-		}
-		if err := step(next); err != nil {
-			return nil, err
-		}
 	}
 	return path, nil
 }

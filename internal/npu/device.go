@@ -26,11 +26,11 @@ type Device struct {
 
 	domMu    sync.Mutex
 	domOwner map[topo.NodeID]*Domain // core -> open timing domain
-	// idleBanks are the HBM calendar banks of closed domains, unbound and
-	// reset, kept so the next domain starts on storage that has already
-	// grown to a job's size. There are never more than the most domains
-	// that were open at once.
-	idleBanks []*mem.Bank
+	// idle are the timing scopes of closed domains — NoC link calendars
+	// and HBM calendar bank, reset and unbound — kept so the next domain
+	// starts on storage that has already grown to a job's size. There are
+	// never more than the most domains that were open at once.
+	idle []timingScope
 
 	// fpOnce/fp lazily cache the chip's timing fingerprint (the
 	// configuration is immutable after NewDevice); see TimingFingerprint.
@@ -136,8 +136,14 @@ func (d *Device) ResetCoreTransients(nodes []topo.NodeID) {
 type Domain struct {
 	dev   *Device
 	nodes []topo.NodeID
-	noc   *noc.Domain
-	bank  *mem.Bank
+	timingScope
+}
+
+// timingScope is the calendar storage a domain books into; it outlives
+// the domain (Device.idle).
+type timingScope struct {
+	noc  *noc.Domain
+	bank *mem.Bank
 }
 
 // OpenDomain opens a timing domain over the given cores. It enforces the
@@ -158,17 +164,16 @@ func (d *Device) OpenDomain(nodes []topo.NodeID) (*Domain, error) {
 			return nil, fmt.Errorf("npu: core %d is held by another domain: %w", n, ErrDomainOverlap)
 		}
 	}
-	var bank *mem.Bank
-	if n := len(d.idleBanks); n > 0 {
-		bank, d.idleBanks = d.idleBanks[n-1], d.idleBanks[:n-1]
+	var scope timingScope
+	if n := len(d.idle); n > 0 {
+		scope, d.idle = d.idle[n-1], d.idle[:n-1]
 	} else {
-		bank = mem.NewBank()
+		scope = timingScope{noc: d.net.NewDomain(), bank: mem.NewBank()}
 	}
 	dom := &Domain{
-		dev:   d,
-		nodes: append([]topo.NodeID(nil), nodes...),
-		noc:   d.net.NewDomain(),
-		bank:  bank,
+		dev:         d,
+		nodes:       append([]topo.NodeID(nil), nodes...),
+		timingScope: scope,
 	}
 	for _, n := range nodes {
 		d.domOwner[n] = dom
@@ -197,9 +202,10 @@ func (dm *Domain) Reset() {
 }
 
 // Close releases the domain's cores so a future domain may claim them,
-// and hands the bank back to the device for that domain to reuse. The
-// caller must ensure no job is executing in the domain, and must not use
-// the ports it bound to the bank afterwards. Closing twice is harmless.
+// and hands the timing scope back to the device for that domain to
+// reuse. The caller must ensure no job is executing in the domain, and
+// must not use the ports it bound to the bank afterwards. Closing twice
+// is harmless.
 func (dm *Domain) Close() {
 	dm.dev.domMu.Lock()
 	defer dm.dev.domMu.Unlock()
@@ -209,9 +215,10 @@ func (dm *Domain) Close() {
 		}
 	}
 	if dm.bank != nil {
+		dm.noc.ResetTiming()
 		dm.bank.Unbind()
-		dm.dev.idleBanks = append(dm.dev.idleBanks, dm.bank)
-		dm.bank = nil
+		dm.dev.idle = append(dm.dev.idle, dm.timingScope)
+		dm.timingScope = timingScope{}
 	}
 }
 

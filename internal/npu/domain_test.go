@@ -141,8 +141,8 @@ func TestReopenedDomainMatchesFreshDevice(t *testing.T) {
 			t.Fatalf("round %d on the reused device: %+v, fresh device %+v", round, got, step.want)
 		}
 	}
-	if n := len(d.idleBanks); n != 1 {
-		t.Fatalf("%d idle banks after one domain at a time, want 1", n)
+	if n := len(d.idle); n != 1 {
+		t.Fatalf("%d idle timing scopes after one domain at a time, want 1", n)
 	}
 }
 
@@ -185,8 +185,8 @@ func TestConcurrentDomainsRecycleBanks(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	if n := len(d.idleBanks); n < 1 || n > regions {
-		t.Fatalf("%d idle banks, want between 1 and the %d domains that can be open at once", n, regions)
+	if n := len(d.idle); n < 1 || n > regions {
+		t.Fatalf("%d idle timing scopes, want between 1 and the %d domains that can be open at once", n, regions)
 	}
 	if len(d.domOwner) != 0 {
 		t.Fatalf("%d cores still owned after every domain closed", len(d.domOwner))

@@ -45,21 +45,15 @@ type NoCFabric struct {
 	// VM tags packets for interference accounting (noc.Unowned on bare
 	// metal).
 	VM int
-	// PathFn overrides the default DOR routing when non-nil.
-	PathFn func(src, dst topo.NodeID) ([]topo.NodeID, error)
 }
 
 // Transfer implements Fabric.
 func (f *NoCFabric) Transfer(start sim.Cycles, src, dst topo.NodeID, size int) (sim.Cycles, error) {
-	pathFn := f.PathFn
-	if pathFn == nil {
-		pathFn = func(a, b topo.NodeID) ([]topo.NodeID, error) { return noc.DORPath(f.Net.Graph(), a, b) }
-	}
-	path, err := pathFn(src, dst)
+	r, err := f.Net.DOR(src, dst)
 	if err != nil {
 		return start, err
 	}
-	return f.Net.Transfer(start, path, size, f.VM)
+	return f.Net.Send(start, r, size, f.VM)
 }
 
 // SpanKind labels an execution span for core-trace collection (the

@@ -27,6 +27,28 @@ func (r *Resource) Reserve(at, dur Cycles) (start Cycles) {
 	return start
 }
 
+// ReserveTrain books k reservations back to back in one step: the first
+// as Reserve(at, dur), each next one gap cycles after the one before it
+// ends, the k-th lasting last in place of dur. Only the first can wait —
+// every later one asks for a time at or after the release the one before
+// it left (a negative gap asks for an earlier one and is granted that
+// release, as gap 0 is) — so the state after is exactly what k Reserve
+// calls leave, and the start returned is the first one's.
+func (r *Resource) ReserveTrain(at Cycles, k int, dur, gap, last Cycles) (start Cycles) {
+	if k < 1 {
+		return at
+	}
+	if k == 1 {
+		return r.Reserve(at, last)
+	}
+	dur, gap, last = max(dur, 0), max(gap, 0), max(last, 0)
+	start = r.Reserve(at, dur)
+	r.busyUntil = start + Cycles(k-1)*(dur+gap) + last
+	r.busyTotal += Cycles(k-2)*dur + last
+	r.grants += uint64(k - 1)
+	return start
+}
+
 // FreeAt reports when the resource next becomes free.
 func (r *Resource) FreeAt() Cycles { return r.busyUntil }
 

@@ -195,6 +195,35 @@ func TestResourceNoOverlapProperty(t *testing.T) {
 	}
 }
 
+// Property: a train leaves the resource exactly where the k Reserve
+// calls it stands for leave it, whatever was booked before it and
+// whatever the signs of its durations and gap.
+func TestReserveTrainEqualsReserves(t *testing.T) {
+	f := func(busy uint8, at uint8, k uint8, dur, gap, last int8) bool {
+		var train, loop Resource
+		train.Reserve(0, Cycles(busy))
+		loop.Reserve(0, Cycles(busy))
+		n := int(k % 6)
+		got := train.ReserveTrain(Cycles(at), n, Cycles(dur), Cycles(gap), Cycles(last))
+		want, next := Cycles(at), Cycles(at)
+		for j := 0; j < n; j++ {
+			d := Cycles(dur)
+			if j == n-1 {
+				d = Cycles(last)
+			}
+			start := loop.Reserve(next, d)
+			if j == 0 {
+				want = start
+			}
+			next = start + max(d, 0) + Cycles(gap)
+		}
+		return got == want && train == loop
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: engine executes events in nondecreasing time order regardless of
 // scheduling order.
 func TestEngineMonotonicTimeProperty(t *testing.T) {

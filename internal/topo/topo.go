@@ -9,6 +9,7 @@ package topo
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sync/atomic"
 )
@@ -163,21 +164,15 @@ func (g *Graph) Neighbors(id NodeID) []NodeID {
 // Degree reports the number of neighbors of id.
 func (g *Graph) Degree(id NodeID) int { return len(g.adj[id]) }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, each map copied at its final size.
 func (g *Graph) Clone() *Graph {
-	c := New()
-	for id, n := range g.nodes {
-		c.AddNode(id, n.Kind)
+	c := &Graph{
+		nodes:  maps.Clone(g.nodes),
+		adj:    make(map[NodeID]map[NodeID]float64, len(g.adj)),
+		coords: maps.Clone(g.coords),
 	}
 	for a, nbs := range g.adj {
-		for b, cost := range nbs {
-			if a < b {
-				c.AddEdge(a, b, cost)
-			}
-		}
-	}
-	for id, xy := range g.coords {
-		c.coords[id] = xy
+		c.adj[a] = maps.Clone(nbs)
 	}
 	return c
 }

@@ -123,15 +123,32 @@ func TestDisconnectedGraph(t *testing.T) {
 	}
 }
 
+// TestCloneIndependence: a clone encodes as its original does, and no
+// mutation of it — a kind, an edge, a coordinate, a node removed —
+// reaches the original.
 func TestCloneIndependence(t *testing.T) {
-	g := Mesh2D(2, 2)
+	g := NearMesh(7)
+	g.AddNode(3, "memif")
+	g.AddEdge(0, 6, 2.5)
+	key := ViewOf(g).CanonicalKey()
 	c := g.Clone()
+	if got := ViewOf(c).CanonicalKey(); got != key {
+		t.Fatalf("clone encodes as %q, original %q", got, key)
+	}
+	c.AddNode(1, "memif")
+	c.AddEdge(1, 5, 4)
+	c.AddEdge(0, 6, 1)
+	c.SetCoord(2, Coord{X: 9, Y: 9})
 	c.RemoveNode(0)
-	if !g.HasNode(0) {
+	if !g.HasNode(0) || c.NumNodes() != g.NumNodes()-1 {
 		t.Fatal("Clone must not share state")
 	}
-	if c.NumNodes() != 3 {
-		t.Fatalf("clone nodes = %d, want 3", c.NumNodes())
+	if got := ViewOf(c).CanonicalKey(); got == key {
+		t.Fatal("the mutated clone still encodes as the original")
+	}
+	g.view.Store(nil) // re-derive from the maps the clone could have shared
+	if got := ViewOf(g).CanonicalKey(); got != key {
+		t.Fatalf("original encodes as %q after its clone changed, was %q", got, key)
 	}
 }
 

@@ -40,6 +40,7 @@ type View struct {
 	grid     []int // cell y*gridW+x -> position; nil when not a full grid
 	gridW    int
 	gridH    int
+	gridMin  Coord // the coordinate of cell 0
 }
 
 // ViewOf returns the graph's dense view, building it on first use. The
@@ -151,20 +152,20 @@ func (v *View) canonicalKey() string {
 // cell is claimed by exactly one node. cells[y*w+x] is the position of
 // the node at (x, y), coordinates normalized to the box's origin.
 func (v *View) Grid() (cells []int, w, h int, ok bool) {
-	v.gridOnce.Do(func() { v.grid, v.gridW, v.gridH = v.fullGrid() })
+	v.gridOnce.Do(func() { v.grid, v.gridW, v.gridH, v.gridMin = v.fullGrid() })
 	return v.grid, v.gridW, v.gridH, v.grid != nil
 }
 
-func (v *View) fullGrid() (cells []int, w, h int) {
+func (v *View) fullGrid() (cells []int, w, h int, min Coord) {
 	n := len(v.IDs)
 	min, max, has := v.bounds()
 	if !has {
-		return nil, 0, 0
+		return nil, 0, 0, Coord{}
 	}
 	w = max.X - min.X + 1
 	h = max.Y - min.Y + 1
 	if w*h != n {
-		return nil, 0, 0
+		return nil, 0, 0, Coord{}
 	}
 	cells = make([]int, n)
 	for i := range cells {
@@ -173,11 +174,30 @@ func (v *View) fullGrid() (cells []int, w, h int) {
 	for p, c := range v.coords {
 		cell := (c.Y-min.Y)*w + (c.X - min.X)
 		if !v.hasCoord[p] || cells[cell] >= 0 {
-			return nil, 0, 0
+			return nil, 0, 0, Coord{}
 		}
 		cells[cell] = p
 	}
-	return cells, w, h
+	return cells, w, h, min
+}
+
+// At returns the position of the node embedded at c: one cell read on a
+// full grid, a scan of the embedding otherwise, in which the highest
+// position wins where several nodes share a coordinate.
+func (v *View) At(c Coord) (pos int, ok bool) {
+	if cells, w, h, full := v.Grid(); full {
+		x, y := c.X-v.gridMin.X, c.Y-v.gridMin.Y
+		if x < 0 || x >= w || y < 0 || y >= h {
+			return 0, false
+		}
+		return cells[y*w+x], true
+	}
+	for p := len(v.coords) - 1; p >= 0; p-- {
+		if v.hasCoord[p] && v.coords[p] == c {
+			return p, true
+		}
+	}
+	return 0, false
 }
 
 // bounds reports the bounding box of the embedded nodes.

@@ -195,6 +195,11 @@ func FuzzGraphView(f *testing.F) {
 				_ = Signature(g, 0)
 			}
 			checkView(t, g, step)
+			c := g.Clone()
+			checkView(t, c, step)
+			if ViewOf(c).CanonicalKey() != ViewOf(g).CanonicalKey() {
+				t.Fatalf("step %d: clone encodes as %q, original %q", step, ViewOf(c).CanonicalKey(), ViewOf(g).CanonicalKey())
+			}
 		}
 	})
 }
@@ -217,6 +222,44 @@ func TestConnectedSubgraphsCompleteAtLimit(t *testing.T) {
 		sets, complete := ConnectedSubgraphs(g, g.Nodes(), k, tc.limit)
 		if len(sets) != tc.sets || complete != tc.complete {
 			t.Errorf("limit %d: %d sets complete=%v, want %d sets complete=%v", tc.limit, len(sets), complete, tc.sets, tc.complete)
+		}
+	}
+}
+
+// TestViewAt: a coordinate finds its node by cell on a full grid (off
+// the origin too) and by scan on anything else, where the highest ID
+// wins a shared coordinate and a hole or an outside cell finds nothing.
+func TestViewAt(t *testing.T) {
+	grid := New()
+	for i := 0; i < 6; i++ {
+		grid.AddNode(NodeID(10+i), KindCore)
+		grid.SetCoord(NodeID(10+i), Coord{X: i%3 - 1, Y: i/3 + 4})
+	}
+	holed := Mesh2D(3, 3)
+	holed.RemoveNode(4)
+	shared := Mesh2D(1, 3)
+	shared.AddNode(7, KindCore)
+	shared.SetCoord(7, Coord{X: 1, Y: 0})
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		at   Coord
+		id   NodeID
+		ok   bool
+	}{
+		{"grid", grid, Coord{X: -1, Y: 4}, 10, true},
+		{"grid", grid, Coord{X: 1, Y: 5}, 15, true},
+		{"grid", grid, Coord{X: 2, Y: 4}, 0, false},
+		{"grid", grid, Coord{X: 0, Y: 3}, 0, false},
+		{"holed", holed, Coord{X: 2, Y: 1}, 5, true},
+		{"holed", holed, Coord{X: 1, Y: 1}, 0, false},
+		{"shared", shared, Coord{X: 1, Y: 0}, 7, true},
+		{"shared", shared, Coord{X: 2, Y: 0}, 2, true},
+	} {
+		v := ViewOf(tc.g)
+		p, ok := v.At(tc.at)
+		if ok != tc.ok || (ok && v.IDs[p] != tc.id) {
+			t.Errorf("%s: At(%v) = position %d %v, want node %d %v", tc.name, tc.at, p, ok, tc.id, tc.ok)
 		}
 	}
 }

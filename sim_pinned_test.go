@@ -120,3 +120,49 @@ func BenchmarkSimSoloPass(b *testing.B) {
 		}
 	}
 }
+
+// pinnedChurnCases are map_churn-shaped one-shots: a small model on a
+// chain, near-mesh or small mesh (bench/workload_serve.go draws the same
+// kinds), with the simulated result each must report.
+func pinnedChurnCases() []pinnedSimCase {
+	confined := []Option{WithConfinement(true)}
+	return []pinnedSimCase{
+		{"sim", "mobilenet", Chain(5), nil, 1, 478756, 93596},
+		{"sim", "transformer", NearMesh(7), nil, 1, 176629, 71422},
+		{"sim", "yololite", Mesh(2, 3), nil, 1, 182498, 12762},
+		{"sim", "transformer", Chain(7), nil, 1, 176620, 71422},
+		{"sim", "yololite", NearMesh(5), confined, 1, 180713, 12762},
+		{"sim", "mobilenet", Mesh(2, 2), nil, 1, 396384, 187131},
+		{"sim", "yololite", Chain(3), nil, 1, 144585, 25464},
+		{"sim", "mobilenet", NearMesh(8), nil, 1, 574982, 93596},
+		{"sim", "transformer", Mesh(1, 3), nil, 1, 95760, 142783},
+		{"sim", "mobilenet", Chain(6), confined, 1, 492531, 93596},
+		{"sim", "transformer", NearMesh(3), nil, 1, 95760, 142783},
+		{"sim", "yololite", Mesh(2, 3), confined, 1, 182498, 12762},
+	}
+}
+
+// TestMapChurnCyclesPinned pins the traffic map_churn serves, where
+// TestSimSoloCyclesPinned pins eight big models: a dozen small one-shots,
+// one after another on one SimConfig chip with ten cores reserved across
+// it, so some jobs land on inexact regions (map cost 1 and 2) and route
+// several hops through cores they do not own. The second pass runs on
+// the routes and the timing storage the first one left behind.
+func TestMapChurnCyclesPinned(t *testing.T) {
+	sys, err := NewSystem(SimConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.hv.Reserve(1, 8, 10, 13, 16, 21, 23, 26, 31, 34); err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i, c := range pinnedChurnCases() {
+			rep := c.run(t, sys)
+			if rep.Cycles != c.cycles || rep.WarmupCycles != c.warmup {
+				t.Errorf("pass %d job %d %s on %d cores: cycles %d warm-up %d, pinned %d and %d",
+					pass, i, c.model, c.topology.NumNodes(), rep.Cycles, rep.WarmupCycles, c.cycles, c.warmup)
+			}
+		}
+	}
+}

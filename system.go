@@ -55,7 +55,7 @@ func (s *System) Destroy(v *VirtualNPU) error { return s.hv.Destroy(v.ID()) }
 func (s *System) Utilization() float64 { return s.hv.Utilization() }
 
 // FreeCores reports how many cores remain unallocated.
-func (s *System) FreeCores() int { return len(s.hv.FreeCores()) }
+func (s *System) FreeCores() int { return s.hv.FreeCount() }
 
 // VirtualNPUs lists live virtual NPUs in creation order.
 func (s *System) VirtualNPUs() []*VirtualNPU { return s.hv.VNPUs() }
