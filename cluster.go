@@ -3,7 +3,6 @@ package vnpu
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -66,14 +65,6 @@ type Cluster struct {
 	// turns an isolation bug into serialization instead of timing
 	// corruption.
 	regions []*chipRegions
-
-	// placeMu serializes, per chip, the step that turns a placement into
-	// a vNPU (createPlaced). Between the hypervisor taking the cores and
-	// the engine's free-set mirror hearing of it, the mirror still offers
-	// them: the dispatcher and every cold session create resolve against
-	// that mirror concurrently, and without the lock two of them draw the
-	// same cached mapping.
-	placeMu []sync.Mutex
 
 	// coreNanos is the per-chip occupancy integral: each finished
 	// execution adds its duration times the cores it held, so
@@ -285,7 +276,6 @@ func NewCluster(cfg Config, chips int, opts ...ClusterOption) (*Cluster, error) 
 		clk:             cc.clock,
 		systems:         make([]*System, len(specs)),
 		regions:         make([]*chipRegions, len(specs)),
-		placeMu:         make([]sync.Mutex, len(specs)),
 		coreNanos:       make([]atomic.Int64, len(specs)),
 		curJobs:         make([]atomic.Int64, len(specs)),
 		progs:           make(map[progKey]*progEntry),
@@ -417,7 +407,7 @@ func NewCluster(cfg Config, chips int, opts ...ClusterOption) (*Cluster, error) 
 	}
 	if cc.sessionReuse {
 		pool, err := session.New[*sessRes, *sessTask](session.Config[*sessRes]{
-			Destroy:    func(chip int, r *sessRes) error { return c.destroy(chip, r.v, r.class) },
+			Destroy:    func(chip int, r *sessRes) error { return c.destroy(chip, r.v) },
 			Cores:      func(r *sessRes) int { return r.v.NumCores() },
 			Priority:   func(r *sessRes) int { return r.class },
 			IsCapacity: capacityCurable,
@@ -887,33 +877,25 @@ func placeRequest(req Request) place.Request {
 	}
 }
 
-// Rank asks the placement engine for every chip that can host the job,
-// scored by topology edit distance then chip price (both cache-served on
-// the hot path). A load term — the chip's actively executing cores
-// blended with its worker backlog — breaks exact ties, so equally-good
-// placements spread across chips instead of piling onto the first one; it
-// can never override a cost or price difference, however small. Cores
-// held by idle warm sessions are excluded from the load term (they are
-// reclaimable, not busy) and instead feed the Warm tiebreak, so a
-// backlogged chip with a warm pool wins ties over one whose allocation is
-// all hard.
+// Rank is the dispatcher's one placement question per attempt, put to the
+// placement engine: the complete rank when every chip's mapping is cached,
+// the exact cached fits when only some are (hits-first: edit distance 0 is
+// a cold optimum, so a job started from one gives up nothing), else the
+// edge the job parks on while the engine's workers map what is missing.
+// Candidates are scored by topology edit distance then chip price. A load
+// term — the chip's actively executing cores blended with its worker
+// backlog — breaks exact ties, so equally-good placements spread across
+// chips instead of piling onto the first one; it can never override a cost
+// or price difference, however small. Cores held by idle warm sessions
+// are excluded from the load term (they are reclaimable, not busy) and
+// instead feed the Warm tiebreak, so a backlogged chip with a warm pool
+// wins ties over one whose allocation is all hard.
 //
-// When no chip can host the job because warm sessions hold the capacity,
-// Rank reclaims idle sessions LRU-first and rescores — queued jobs that
-// need fresh rectangles evict warm pools instead of failing with
-// ErrNoCapacity.
-func (e *clusterExec) Rank(job Job) ([]sched.Candidate, error) {
-	req := placeRequest(job.request())
-	for {
-		cands, err := e.engine.Place(req)
-		if err != nil {
-			if e.pool != nil && capacityCurable(err) && e.pool.EvictIdle(1) > 0 {
-				continue
-			}
-			return nil, err
-		}
-		return e.scoreCandidates(cands), nil
-	}
+// Rank evicts nothing: when warm sessions hold the capacity a job needs,
+// the dispatcher's Reclaim hook frees it after the failed attempt.
+func (e *clusterExec) Rank(job Job) ([]sched.Candidate, <-chan struct{}, error) {
+	cands, pending, err := e.engine.Rank(placeRequest(job.request()))
+	return e.scoreCandidates(cands), pending, err
 }
 
 // scoreCandidates folds the load and warm terms into the engine's
@@ -946,106 +928,55 @@ func (e *clusterExec) RankCached(job Job) []sched.Candidate {
 	return e.scoreCandidates(e.engine.PlaceCached(placeRequest(job.request())))
 }
 
-// RankHit is the dispatcher's hits-first rank: the cached candidates of
-// edit-distance cost 0. An exact fit is a cold optimum — no chip the
-// exhaustive rank would still map can score below it — so a job started
-// from one gives up nothing; a non-exact cached candidate waits for the
-// rest of the rank. Price/load tiebreaks among the returned candidates
-// are the ordinary scoring.
-func (e *clusterExec) RankHit(job Job) []sched.Candidate {
-	cands := e.engine.PlaceHit(placeRequest(job.request()))
-	exact := cands[:0]
-	for _, c := range cands {
-		if c.Cost == 0 {
-			exact = append(exact, c)
-		}
-	}
-	return e.scoreCandidates(exact)
-}
-
-// RankAsync hands the job's missing mappings to the engine's async
-// mapper workers, returning the mapReady edge the dispatcher parks the
-// job on — or nil when every chip is already answered, telling the
-// dispatcher to rank synchronously.
-func (e *clusterExec) RankAsync(job Job) <-chan struct{} {
-	return e.engine.MapAsync(placeRequest(job.request()))
-}
-
-// errMirrorDrift marks a create undone because the engine's free-set
-// mirror refused cores the hypervisor had just handed out: the placement
-// view is corrupt, which no other candidate chip cures.
-var errMirrorDrift = errors.New("vnpu: placement mirror disagrees with the hypervisor")
-
-// oneShot is the residency class of a vNPU that lives for one job. A
-// vNPU's class is the one thing create and destroy vary on: it selects
-// how the cores are booked in the engine's free-set mirror — Commit and
-// Release for oneShot, Reserve and Evict under the session's scheduling
-// class for a resident one.
-const oneShot = -1
-
 // createPlaced creates a vNPU for the request on the chip from the
-// engine's resolved mapping (the hypervisor never re-runs the topology
-// mapper on the serving paths) and books its cores out of the engine's
-// free-set mirror. The three steps run under the chip's placeMu, so a
-// concurrent create on the chip resolves against a mirror that already
-// shows this one; otherwise it would be handed the same nodes and lose
-// with the hypervisor's stale-placement ErrNoCapacity while the chip has
-// room.
-func (c *Cluster) createPlaced(chip int, req Request, class int) (*VirtualNPU, error) {
-	c.placeMu[chip].Lock()
-	defer c.placeMu[chip].Unlock()
-	mapRes, err := c.engine.Resolve(chip, placeRequest(req))
+// mapping the engine claims for it (the hypervisor never re-runs the
+// topology mapper on the serving paths). The claimed cores left the
+// engine's free set in the step that resolved them, so a concurrent
+// create on the chip — the dispatcher's or a cold session's — can only be
+// handed other cores; a create the hypervisor still refuses (memory, say)
+// gives them back.
+func (c *Cluster) createPlaced(chip int, req Request) (*VirtualNPU, error) {
+	mapRes, err := c.engine.Claim(chip, placeRequest(req))
 	if err != nil {
 		return nil, err
 	}
 	v, err := c.systems[chip].hv.CreateVNPUPlaced(req, mapRes)
 	if err != nil {
+		if relErr := c.engine.Release(chip, mapRes.Nodes); relErr != nil {
+			err = fmt.Errorf("%w (release: %v)", err, relErr)
+		}
 		return nil, err
-	}
-	if class == oneShot {
-		err = c.engine.Commit(chip, v.Nodes())
-	} else {
-		err = c.engine.Reserve(chip, v.Nodes(), class)
-	}
-	if err != nil {
-		// Undo the create rather than serve from a corrupted view.
-		_ = c.systems[chip].Destroy(v)
-		return nil, fmt.Errorf("%w: %v", errMirrorDrift, err)
 	}
 	return v, nil
 }
 
 // create is the one way a serving vNPU comes to exist — clusterExec.Place
 // for a one-shot job, the session pool's cold path for a resident one:
-// place it from the engine's mapping, book its cores, and open its
+// place it from the engine's mapping, its cores booked, and open its
 // private timing domain, so every execution overlaps disjoint neighbors
 // and none resets chip-global timing state. The hypervisor hands out
 // disjoint core sets, so a domain overlap failure means the placement
 // view is corrupt — undo the create rather than execute on shared timing.
-func (c *Cluster) create(chip int, req Request, class int) (*VirtualNPU, error) {
-	v, err := c.createPlaced(chip, req, class)
+func (c *Cluster) create(chip int, req Request) (*VirtualNPU, error) {
+	v, err := c.createPlaced(chip, req)
 	if err != nil {
 		return nil, err
 	}
 	if err := v.OpenDomain(); err != nil {
-		_ = c.destroy(chip, v, class)
+		_ = c.destroy(chip, v)
 		return nil, err
 	}
 	return v, nil
 }
 
 // destroy undoes create: the vNPU's cores and memory return to the chip,
-// and the freed cores to the engine's mirror under the class they were
-// booked with.
-func (c *Cluster) destroy(chip int, v *VirtualNPU, class int) error {
+// and the freed cores to the engine's free set.
+func (c *Cluster) destroy(chip int, v *VirtualNPU) error {
 	nodes := append([]topo.NodeID(nil), v.Nodes()...)
 	if err := c.systems[chip].Destroy(v); err != nil {
 		return err
 	}
-	if class == oneShot {
-		return c.engine.Release(chip, nodes)
-	}
-	return c.engine.Evict(chip, nodes, class)
+	return c.engine.Release(chip, nodes)
 }
 
 // execute is the one execution of a job on a vNPU the caller holds — the
@@ -1105,7 +1036,7 @@ func (c *Cluster) execute(ctx context.Context, chip int, v *VirtualNPU, prog **C
 // Place creates the job's vNPU on the chosen chip. The request's memory
 // was already sized at Submit.
 func (e *clusterExec) Place(chip int, job Job) (*VirtualNPU, error) {
-	return (*Cluster)(e).create(chip, job.request(), oneShot)
+	return (*Cluster)(e).create(chip, job.request())
 }
 
 // Execute runs the job on its placed vNPU. Admission sizing already
@@ -1118,7 +1049,7 @@ func (e *clusterExec) Execute(ctx context.Context, chip int, v *VirtualNPU, job 
 
 // Release destroys the job's vNPU.
 func (e *clusterExec) Release(chip int, v *VirtualNPU) error {
-	if err := (*Cluster)(e).destroy(chip, v, oneShot); err != nil {
+	if err := (*Cluster)(e).destroy(chip, v); err != nil {
 		return err
 	}
 	// Session jobs parked on capacity watch dispatcher releases too.

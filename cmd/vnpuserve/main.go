@@ -350,7 +350,7 @@ type summary struct {
 	ColdCreates    uint64         `json:"cold_creates"`
 	Batched        uint64         `json:"batched"`
 	Evicted        uint64         `json:"evicted"`
-	PlaceHit       float64        `json:"placement_cache_hit_rate"`
+	PlaceHitRate   float64        `json:"placement_cache_hit_rate"`
 	Priomix        bool           `json:"priomix"`
 	Seed           int64          `json:"seed"`
 	DeadlineMisses uint64         `json:"deadline_misses"`
@@ -756,7 +756,7 @@ func run(rc runConfig) error {
 			ColdCreates:    sess.ColdCreates,
 			Batched:        sess.Batched,
 			Evicted:        sess.Evicted(),
-			PlaceHit:       ps.HitRate(),
+			PlaceHitRate:   ps.HitRate(),
 			Priomix:        rc.priomix,
 			Seed:           rc.seed,
 			DeadlineMisses: ss.DeadlineMisses(),

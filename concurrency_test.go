@@ -129,8 +129,8 @@ func TestOverlappedExecutionCycleIdentical(t *testing.T) {
 // checkDrained asserts what a closed cluster's accounting must show
 // whatever traffic it served: every admitted job booked exactly one
 // outcome, in total and per class, the scheduler core owns no unfinished
-// work, and every core is back — free in the hypervisor and held by no
-// session in the placement engine's mirror.
+// work, and every core is back — free in the hypervisor and in the
+// placement engine's free set, with no session left in the pool.
 func checkDrained(t *testing.T, c *Cluster) {
 	t.Helper()
 	snap := c.Snapshot()
@@ -149,8 +149,13 @@ func checkDrained(t *testing.T, c *Cluster) {
 		if free, cores := sys.FreeCores(), sys.Config().Cores(); free != cores {
 			t.Errorf("chip %d: %d of %d cores free after Close", chip, free, cores)
 		}
-		if held := c.engine.HeldCount(chip); held != 0 {
-			t.Errorf("chip %d: engine still books %d session-held cores", chip, held)
+		if free, cores := c.engine.FreeCount(chip), sys.Config().Cores(); free != cores {
+			t.Errorf("chip %d: engine books %d of %d cores free after Close", chip, free, cores)
+		}
+	}
+	if c.pool != nil {
+		if idle, busy := c.pool.Counts(); idle != 0 || busy != 0 {
+			t.Errorf("pool still holds %d idle and %d busy sessions after Close", idle, busy)
 		}
 	}
 }

@@ -29,7 +29,7 @@ type PlacementStats struct {
 	// async worker) paid it.
 	MapTime time.Duration
 	// AsyncMaps counts mapping computations scheduled on the async mapper
-	// workers for a dispatch-path miss (MapAsync).
+	// workers for a dispatch-path miss (a Rank that parks its job).
 	AsyncMaps uint64
 	// NegHits counts per-chip mapping failures served from the engine's
 	// negative-result memo across free-set churn — each one a mapper run

@@ -34,10 +34,11 @@ const (
 	// StageAdmitted marks the job past admission control (queued or
 	// handed to a session goroutine).
 	StageAdmitted
-	// StagePlaced marks a dispatcher placement claim. Detail: "hit"
-	// (hits-first cached placement), "miss" (ranked placement), or
-	// "map-parked" (parked on an async mapping; a later placed event
-	// records the eventual claim).
+	// StagePlaced marks a dispatcher placement claim. Detail: "hit" (an
+	// exact fit, edit distance 0 — what hits-first starts on), "miss" (any
+	// other ranked placement), or "map-parked" (the job's first park on
+	// an async mapping, recorded once however often it parks again; a
+	// later placed event records the eventual claim).
 	StagePlaced
 	// StageSession marks a session-path resolution. Detail: "warm"
 	// (leased an idle resident vNPU), "cold" (created one), "batched"

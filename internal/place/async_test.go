@@ -20,9 +20,9 @@ func waitClosed(t *testing.T, ch <-chan struct{}) {
 	}
 }
 
-// TestEngineMapAsyncServesPlaceCached: MapAsync computes a request's
-// missing mappings off the caller, after which PlaceCached answers
-// without running the mapper; a second MapAsync has nothing to do.
+// TestEngineMapAsyncServesPlaceCached: a Rank that misses computes the
+// request's mappings off the caller, after which PlaceCached answers
+// without running the mapper; a second Rank has nothing to wait for.
 func TestEngineMapAsyncServesPlaceCached(t *testing.T) {
 	e := newEngine(t, []place.Chip{simChip(), fpgaChip()}, place.WithWorkers(2))
 	defer e.Close()
@@ -31,17 +31,17 @@ func TestEngineMapAsyncServesPlaceCached(t *testing.T) {
 	if cands := e.PlaceCached(req); cands != nil {
 		t.Fatalf("cold engine served cached candidates: %+v", cands)
 	}
-	ready := e.MapAsync(req)
-	if ready == nil {
-		t.Fatal("MapAsync returned nil with both chips unmapped")
+	ranked, ready, err := e.Rank(req)
+	if ready == nil || len(ranked) != 0 || err != nil {
+		t.Fatalf("Rank with both chips unmapped = %+v, pending %v, %v; want only the edge", ranked, ready != nil, err)
 	}
 	waitClosed(t, ready)
 	cands := e.PlaceCached(req)
 	if len(cands) != 2 {
-		t.Fatalf("cached candidates after MapAsync = %d, want 2: %+v", len(cands), cands)
+		t.Fatalf("cached candidates after the rank's mappings landed = %d, want 2: %+v", len(cands), cands)
 	}
-	if again := e.MapAsync(req); again != nil {
-		t.Fatal("MapAsync found work with every chip answered")
+	if ranked, again, err := e.Rank(req); again != nil || err != nil || len(ranked) != 2 {
+		t.Fatalf("Rank with every chip answered = %+v, pending %v, %v; want both chips", ranked, again != nil, err)
 	}
 	st := e.Stats()
 	if st.AsyncMaps != 2 {
@@ -56,10 +56,10 @@ func TestEngineMapAsyncServesPlaceCached(t *testing.T) {
 }
 
 // TestEngineHitsFirstStartsAreColdOptima is the hits-first guarantee:
-// every PlaceHit candidate of cost 0 — the only kind the dispatcher
-// starts a job on without its full rank — scores equal to the cacheless
-// engine's best over ALL chips at the same free state. Nothing is given
-// up by not waiting.
+// every candidate of a Rank that did not park — complete, or the exact
+// fits an incomplete rank starts a job on — leads with the cacheless
+// engine's best cost over ALL chips at the same free state. Nothing is
+// given up by not waiting.
 func TestEngineHitsFirstStartsAreColdOptima(t *testing.T) {
 	reqPool := []*topo.Graph{
 		topo.Mesh2D(2, 2),
@@ -82,22 +82,23 @@ func TestEngineHitsFirstStartsAreColdOptima(t *testing.T) {
 		switch rng.Intn(4) {
 		case 0: // warm one chip's mapping only (partial cache)
 			chip := rng.Intn(2)
-			_, _ = cached.Resolve(chip, req)
+			if res, err := cached.Claim(chip, req); err == nil {
+				if err := cached.Release(chip, res.Nodes); err != nil {
+					t.Fatal(err)
+				}
+			}
 		case 1: // full async warm
-			if ready := cached.MapAsync(req); ready != nil {
+			if _, ready, _ := cached.Rank(req); ready != nil {
 				waitClosed(t, ready)
 			}
-		case 2: // churn: place and commit on both engines
+		case 2: // churn: place and claim, mirrored on the cold engine
 			cands, err := cached.Place(req)
 			if err != nil {
 				continue
 			}
-			res, err := cached.Resolve(cands[0].Chip, req)
+			res, err := cached.Claim(cands[0].Chip, req)
 			if err != nil {
 				continue
-			}
-			if err := cached.Commit(cands[0].Chip, res.Nodes); err != nil {
-				t.Fatal(err)
 			}
 			if err := cold.Commit(cands[0].Chip, res.Nodes); err != nil {
 				t.Fatal(err)
@@ -117,23 +118,29 @@ func TestEngineHitsFirstStartsAreColdOptima(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, c := range cached.PlaceHit(req) {
-			if c.Cost != 0 {
-				continue
+		ranked, ready, _ := cached.Rank(req)
+		if ready != nil {
+			if len(ranked) != 0 {
+				t.Fatalf("op %d: a parked rank named candidates: %+v", op, ranked)
 			}
-			coldCands, err := cold.Place(req)
-			if err != nil || len(coldCands) == 0 {
-				t.Fatalf("op %d: cached rank exists but cold rank failed: %v", op, err)
-			}
-			if best := coldCands[0].Cost; best != 0 {
-				t.Fatalf("op %d: exact cached fit on chip %d but the cold optimum costs %v", op, c.Chip, best)
-			}
+			waitClosed(t, ready)
+			continue
+		}
+		if len(ranked) == 0 {
+			continue
+		}
+		coldCands, err := cold.Place(req)
+		if err != nil || len(coldCands) == 0 {
+			t.Fatalf("op %d: cached rank exists but cold rank failed: %v", op, err)
+		}
+		if got, best := ranked[0].Cost, coldCands[0].Cost; got != best {
+			t.Fatalf("op %d: rank leads with chip %d at cost %v but the cold optimum costs %v", op, ranked[0].Chip, got, best)
 		}
 	}
 }
 
-// TestEngineMapAsyncChurnRace exercises MapAsync and PlaceCached against
-// concurrent Commit/Release churn and blocking placements under -race:
+// TestEngineMapAsyncChurnRace exercises Rank and PlaceCached against
+// concurrent Claim/Release churn and blocking placements under -race:
 // async mappers share flights and the cache with every other path, and
 // the free-set mirror moves underneath them.
 func TestEngineMapAsyncChurnRace(t *testing.T) {
@@ -164,18 +171,15 @@ func TestEngineMapAsyncChurnRace(t *testing.T) {
 					continue
 				}
 				chip := cands[rng.Intn(len(cands))].Chip
-				res, err := e.Resolve(chip, req)
+				res, err := e.Claim(chip, req)
 				if err != nil {
 					continue
-				}
-				if err := e.Commit(chip, res.Nodes); err != nil {
-					continue // raced: another goroutine claimed a node
 				}
 				if rng.Intn(4) != 0 {
 					time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
 				}
 				if err := e.Release(chip, res.Nodes); err != nil {
-					t.Errorf("release of committed nodes failed: %v", err)
+					t.Errorf("release of claimed nodes failed: %v", err)
 					return
 				}
 			}
@@ -189,7 +193,7 @@ func TestEngineMapAsyncChurnRace(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				req := place.Request{Topology: reqPool[rng.Intn(len(reqPool))]}
 				if rng.Intn(2) == 0 {
-					if ready := e.MapAsync(req); ready != nil && rng.Intn(2) == 0 {
+					if _, ready, _ := e.Rank(req); ready != nil && rng.Intn(2) == 0 {
 						waitClosed(t, ready)
 					}
 				} else {
@@ -219,9 +223,9 @@ func TestSaturationVetoesMapperGrowth(t *testing.T) {
 	// A near-chip-sized mapping pins the resident worker, so the distinct
 	// small topologies behind it keep the queue non-empty and every
 	// submission attempts (and is denied) growth.
-	e.MapAsync(place.Request{Topology: topo.Mesh2D(5, 6)})
+	e.Rank(place.Request{Topology: topo.Mesh2D(5, 6)})
 	for i := 2; i < 12; i++ {
-		e.MapAsync(place.Request{Topology: topo.Chain(i)})
+		e.Rank(place.Request{Topology: topo.Chain(i)})
 	}
 	if got := e.Stats().MapGrowVetoed; got == 0 {
 		t.Fatalf("no growth veto recorded: stats %+v", e.Stats())
@@ -241,9 +245,9 @@ func TestSaturationClearedAllowsGrowth(t *testing.T) {
 	// Growth happens synchronously inside the submission that observes a
 	// backlog, so the pool is visibly grown right after the batch (the
 	// extra workers retire only once the queue drains).
-	e.MapAsync(place.Request{Topology: topo.Mesh2D(5, 6)})
+	e.Rank(place.Request{Topology: topo.Mesh2D(5, 6)})
 	for i := 2; i < 12; i++ {
-		e.MapAsync(place.Request{Topology: topo.Chain(i)})
+		e.Rank(place.Request{Topology: topo.Chain(i)})
 	}
 	if got := e.Stats().MapWorkers; got <= 1 {
 		t.Fatalf("pool did not grow: stats %+v", e.Stats())

@@ -96,11 +96,4 @@ func (c *mapCache) add(k cacheKey, e *cacheEntry) (evicted uint64) {
 	return evicted
 }
 
-func (c *mapCache) remove(k cacheKey) {
-	if el, ok := c.entries[k]; ok {
-		c.order.Remove(el)
-		delete(c.entries, k)
-	}
-}
-
 func (c *mapCache) len() int { return c.order.Len() }

@@ -11,18 +11,20 @@
 //     traffic revisits a small set of free-set shapes, so steady state is
 //     almost all cache hits.
 //   - Incremental free sets: each chip's free-set signature is maintained
-//     by XOR deltas on Commit/Release instead of being recomputed from the
-//     hypervisor on every dispatch.
+//     by XOR deltas on Claim/Commit/Release instead of being recomputed
+//     from the hypervisor on every dispatch.
 //   - Heterogeneity: every chip carries a ChipProfile cost model, and
 //     candidates are ranked by topology fit first, then resource price —
 //     the cheapest chip that satisfies the topology wins, so an FPGA-scale
 //     chip absorbs small jobs while DCRA-scale chips stay free for large
 //     ones.
 //
-// Concurrency: Place/Resolve may run while other goroutines Commit and
-// Release. A resolution is computed from a snapshot of the free set; the
-// hypervisor re-validates node freeness when the placement is actually
-// created, so a stale decision can fail but can never double-allocate.
+// Concurrency: Rank and Place score against a snapshot of the free set
+// while other goroutines Claim and Release, so a ranking can go stale.
+// Claim cannot: the nodes it returns leave the free set in the same hold
+// of the engine mutex that found them free, and a mapping whose nodes
+// were taken while it computed is retried against the current set — two
+// claims never share a core.
 package place
 
 import (
@@ -102,11 +104,6 @@ type chipState struct {
 	free      map[topo.NodeID]bool
 	freeCount int
 	freeSig   uint64 // XOR of nodeHash over free nodes, updated per delta
-	// heldByClass tracks cores held by resident sessions (Reserve/Evict)
-	// per scheduling class, so placement policies can tell reclaimable
-	// low-class residency from high-class pools; held is the total.
-	heldByClass map[int]int
-	held        int
 	// neg memoizes mapping failures per topology across free-set churn
 	// (see negGetLocked); relGen counts releases on the chip, guarding
 	// negative write-backs against a release that raced the computation.
@@ -122,6 +119,11 @@ type negKey struct {
 	topoSig    string
 	strat      core.Strategy
 	nodeInsDel float64
+}
+
+// negKey is the request's negative-memo key under its topology encoding.
+func (r Request) negKey(sig string) negKey {
+	return negKey{topoSig: sig, strat: r.Strategy, nodeInsDel: r.MapOptions.NodeInsDel}
 }
 
 // negEntry is one memoized mapping failure. It may be served while the
@@ -154,6 +156,15 @@ func (cs *chipState) allFreeLocked(nodes []topo.NodeID) bool {
 		}
 	}
 	return true
+}
+
+// takeLocked is the create delta: the nodes, all free, leave the free set.
+func (cs *chipState) takeLocked(nodes []topo.NodeID) {
+	for _, n := range nodes {
+		cs.free[n] = false
+		cs.freeCount--
+		cs.freeSig ^= nodeHash(n)
+	}
 }
 
 // canonicalKey is an exact, labeling-sensitive encoding of a graph: node
@@ -198,9 +209,9 @@ type flight struct {
 	done chan struct{}
 }
 
-// asyncKey identifies one request across chips for MapAsync deduplication:
-// repeated async requests for the same (topology, strategy, cost scale,
-// memory) join the in-flight fan-out instead of re-scheduling it.
+// asyncKey identifies one request across chips for Rank's fan-out
+// deduplication: repeated ranks of the same (topology, strategy, cost
+// scale, memory) join the in-flight fan-out instead of re-scheduling it.
 type asyncKey struct {
 	topoSig    string
 	strat      core.Strategy
@@ -208,7 +219,7 @@ type asyncKey struct {
 	mem        uint64
 }
 
-// asyncFlight is one in-flight MapAsync fan-out: done closes when the last
+// asyncFlight is one in-flight Rank fan-out: done closes when the last
 // missing chip's mapping has landed in the cache.
 type asyncFlight struct {
 	done      chan struct{}
@@ -234,7 +245,7 @@ type Engine struct {
 	chips []*chipState
 
 	// tasks feeds the bounded mapper worker pool: cache misses — whether
-	// from a blocking Place or an async MapAsync fan-out — run here, so
+	// from a blocking Place or a Rank fan-out — run here, so
 	// mapping concurrency is bounded by the worker count instead of one
 	// goroutine per (caller, chip). When the queue is full, callers
 	// overflow onto their own goroutines (progress over strict bounds).
@@ -446,7 +457,7 @@ func (e *Engine) Close() {
 		close(e.quit)
 		e.workerWG.Wait()
 		// Run whatever was accepted into the queue but not picked up:
-		// a blocking rank or MapAsync flight that got its task enqueued
+		// a blocking Place or a Rank fan-out that got its task enqueued
 		// must still complete (its caller may be in wg.Wait / on the
 		// done edge), and no new tasks can arrive once closed is set.
 		for {
@@ -460,14 +471,12 @@ func (e *Engine) Close() {
 	})
 }
 
-// trySubmit hands a task to the worker pool without blocking, reporting
+// submitLocked hands a task to the worker pool without blocking, reporting
 // false when the queue is full or the engine is closed. The closed check
-// and the send share the engine mutex with Close's closed-flag write, so
-// every accepted task is visible to Close's drain — a task can never be
-// enqueued after the drain has run.
-func (e *Engine) trySubmit(fn func()) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// and the send share the engine mutex (held by the caller) with Close's
+// closed-flag write, so every accepted task is visible to Close's drain —
+// a task can never be enqueued after the drain has run.
+func (e *Engine) submitLocked(fn func()) bool {
 	if e.closed {
 		return false
 	}
@@ -478,6 +487,13 @@ func (e *Engine) trySubmit(fn func()) bool {
 	default:
 		return false
 	}
+}
+
+// trySubmit is submitLocked for a caller not holding the engine mutex.
+func (e *Engine) trySubmit(fn func()) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.submitLocked(fn)
 }
 
 // negGetLocked returns the chip's live memoized mapping failure for the
@@ -543,76 +559,82 @@ func (e *Engine) Stats() metrics.PlacementStats {
 	return s
 }
 
-// MapAsync schedules the mapper computations the request would miss on —
-// every adequate chip whose (free set, topology) entry is absent or
-// stale — onto the bounded async worker pool, returning a channel closed
-// when the last one has landed in the cache. It returns nil when there is
-// nothing to wait for: every chip is already answered (rank away — it is
-// cache-served), or the request is uncacheable. Concurrent MapAsync calls
-// for the same request share one fan-out, and each per-chip computation
-// shares the engine's single-flight with any blocking Place racing it.
+// Rank is the dispatcher's placement question for the job it popped,
+// answered in one scan under one hold of the engine mutex and never by
+// running the mapper on the caller:
 //
-// The dispatcher's hits-first path uses it to take mapping misses off the
-// dispatch loop: the job parks on the returned edge while other work
-// dispatches, and re-ranks — by then cache-served — when it closes.
-func (e *Engine) MapAsync(req Request) <-chan struct{} {
-	if req.Topology == nil || req.Topology.NumNodes() == 0 {
-		return nil
+//   - Every adequate chip is answered — by a cached mapping, a memoized
+//     failure or the memory filter: the complete rank, best first as Place
+//     orders it; when it is empty, err is the last chip's refusal.
+//   - Else, cached exact fits (edit distance 0) exist: those alone. Costs
+//     are non-negative, so no chip still to be mapped can beat them, and
+//     nothing is scheduled.
+//   - Else the missing mappings go to the mapper workers in that same
+//     hold — joining the fan-out already in flight for the request, if
+//     any — and pending is returned with no candidates: it closes when the
+//     last one has landed in the cache, and the caller ranks again.
+//
+// A served rank books one Placements tick and a CacheHits or NegHits tick
+// per chip answered; a parked one books only AsyncMaps. An uncacheable
+// request, or a cacheless engine, has nowhere for an async mapping to
+// land: it ranks blocking, as Place.
+func (e *Engine) Rank(req Request) (cands []Candidate, pending <-chan struct{}, err error) {
+	if e.cache == nil || !req.cacheable() || req.Topology == nil || req.Topology.NumNodes() == 0 {
+		cands, err = e.Place(req)
+		return cands, nil, err
 	}
-	if e.cache == nil || !req.cacheable() {
-		// Nothing can land in a cache: async computation would be thrown
-		// away, so the caller must rank synchronously.
-		return nil
-	}
+	start := e.clk.Now()
 	sig := canonicalKey(req.Topology)
-	key := asyncKey{topoSig: sig, strat: req.Strategy, nodeInsDel: req.MapOptions.NodeInsDel, mem: req.MemoryBytes}
-
 	e.mu.Lock()
-	if e.closed {
+	sc := e.scanLocked(req, sig)
+	if len(sc.misses) > 0 && !sc.exact {
+		pending = e.mapAsyncLocked(req, sig, sc.misses)
 		e.mu.Unlock()
-		return nil
+		return nil, pending, nil
 	}
+	e.stats.Placements++
+	e.stats.CacheHits += sc.hits
+	e.stats.NegHits += sc.negs
+	e.stats.PlaceTime += e.clk.Since(start)
+	e.mu.Unlock()
+	if cands = e.candidates(req, sc, len(sc.misses) > 0); len(cands) == 0 {
+		err = e.refusal(req, sc)
+	}
+	return cands, nil, err
+}
+
+// mapAsyncLocked schedules one mapper computation per missing chip on the
+// bounded worker pool and returns the edge closed when the last has landed
+// in the cache. Concurrent ranks of the same request share one fan-out,
+// and each per-chip computation shares the engine's single-flight with any
+// blocking Place or Claim racing it. Caller holds the engine mutex.
+func (e *Engine) mapAsyncLocked(req Request, sig string, misses []int) <-chan struct{} {
+	key := asyncKey{topoSig: sig, strat: req.Strategy, nodeInsDel: req.MapOptions.NodeInsDel, mem: req.MemoryBytes}
 	if f, ok := e.async[key]; ok {
-		e.mu.Unlock()
 		return f.done
-	}
-	var misses []int
-	e.scanLocked(req, sig, func(chip int, a chipAnswer, _ *cacheEntry, _ error) {
-		if a == chipMiss {
-			misses = append(misses, chip)
-		}
-	})
-	if len(misses) == 0 {
-		e.mu.Unlock()
-		return nil
 	}
 	f := &asyncFlight{done: make(chan struct{}), remaining: len(misses)}
 	e.async[key] = f
 	e.stats.AsyncMaps += uint64(len(misses))
-	e.mu.Unlock()
-
-	finishOne := func() {
-		e.mu.Lock()
-		f.remaining--
-		last := f.remaining == 0
-		if last {
-			delete(e.async, key)
-		}
-		e.mu.Unlock()
-		if last {
-			close(f.done)
-		}
-	}
 	for _, chip := range misses {
 		chip := chip
 		task := func() {
-			_, _ = e.resolve(chip, req, sig)
-			finishOne()
+			_, _ = e.resolve(chip, req, sig, false)
+			e.mu.Lock()
+			f.remaining--
+			last := f.remaining == 0
+			if last {
+				delete(e.async, key)
+			}
+			e.mu.Unlock()
+			if last {
+				close(f.done)
+			}
 		}
 		// A dispatch-path miss must make progress even when the pool is
 		// saturated; overflow onto a dedicated goroutine (bounded by the
 		// async dedup map — one fan-out per distinct request).
-		if !e.trySubmit(task) {
+		if !e.submitLocked(task) {
 			go task()
 		}
 	}
@@ -626,177 +648,90 @@ func (e *Engine) MapAsync(req Request) <-chan struct{} {
 // placements fill idle capacity only when they are free to compute, so
 // they can never serialize mapping work behind the head-of-line job.
 // Uncacheable requests (callback map options) and cacheless engines
-// return nil.
+// return nil. It books nothing: backfill probe scans must not skew the
+// serving path's cache statistics.
 func (e *Engine) PlaceCached(req Request) []Candidate {
-	// No hit/miss accounting by design: backfill probe scans must not
-	// skew the serving path's cache statistics.
-	return e.placeCached(req, false)
-}
-
-// PlaceHit is PlaceCached for the dispatcher's hits-first path: the same
-// cached-only rank, but — when it serves at least one candidate —
-// booked as a placement decision (one Placements tick, a CacheHits tick
-// per chip served). Hits-first placements ARE the serving path's
-// decisions, and without the accounting a cache that serves all traffic
-// would report zero activity; empty scans (nothing cached yet, or a
-// capacity-park retry) stay unaccounted so the decision counters track
-// served ranks, not loop iterations.
-func (e *Engine) PlaceHit(req Request) []Candidate {
-	return e.placeCached(req, true)
-}
-
-func (e *Engine) placeCached(req Request, account bool) []Candidate {
 	if req.Topology == nil || req.Topology.NumNodes() == 0 {
 		return nil
 	}
 	if e.cache == nil || !req.cacheable() {
 		return nil
 	}
-	start := e.clk.Now()
 	sig := canonicalKey(req.Topology)
-	k := req.Topology.NumNodes()
-	var cands []Candidate
 	e.mu.Lock()
-	e.scanLocked(req, sig, func(chip int, a chipAnswer, ent *cacheEntry, _ error) {
-		if a == chipResult {
-			cands = append(cands, Candidate{
-				Chip:  chip,
-				Cost:  ent.cost,
-				Price: e.chips[chip].profile.PlacementPrice(k),
-			})
-		}
-	})
-	if account && len(cands) > 0 {
-		e.stats.Placements++
-		e.stats.CacheHits += uint64(len(cands))
-		e.stats.PlaceTime += e.clk.Since(start)
-	}
+	sc := e.scanLocked(req, sig)
 	e.mu.Unlock()
-	sortCandidates(cands)
-	return cands
-}
-
-// sortCandidates orders candidates best first: minimum edit distance,
-// then minimum price, chip order kept among equals.
-func sortCandidates(cands []Candidate) {
-	slices.SortStableFunc(cands, func(a, b Candidate) int {
-		if c := cmp.Compare(a.Cost, b.Cost); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Price, b.Price)
-	})
+	return e.candidates(req, sc, false)
 }
 
 // Place ranks every chip that can host the request, best first: minimum
 // topology edit distance, then minimum resource price (cheapest adequate
-// chip), then lowest chip index. When no chip qualifies it returns the
-// last per-chip error (typed: ErrNoCapacity, ErrTopologyUnsatisfiable,
+// chip), then lowest chip index. Chips the cache cannot answer are mapped
+// before it returns. When no chip qualifies it returns the last per-chip
+// error (typed: ErrNoCapacity, ErrTopologyUnsatisfiable,
 // ErrMemoryExceeded).
 func (e *Engine) Place(req Request) ([]Candidate, error) {
 	start := e.clk.Now()
 	if req.Topology == nil || req.Topology.NumNodes() == 0 {
 		return nil, fmt.Errorf("place: request needs a topology")
 	}
-	cands, err := e.rank(req)
-
-	e.mu.Lock()
-	e.stats.Placements++
-	e.stats.PlaceTime += e.clk.Since(start)
-	e.mu.Unlock()
-	return cands, err
-}
-
-// rank scores the request against every chip (cache-first, misses fanned
-// out concurrently) without touching the decision counters.
-func (e *Engine) rank(req Request) ([]Candidate, error) {
 	sig := canonicalKey(req.Topology)
-	k := req.Topology.NumNodes()
 
 	// First pass, one lock acquisition: answer every chip the cache can.
 	// In the all-hit steady state ranking spawns no goroutines at all;
 	// only chips that actually need the mapper fan out below.
-	costs := make([]float64, len(e.chips))
-	errs := make([]error, len(e.chips))
-	var misses []int
 	e.mu.Lock()
-	e.scanLocked(req, sig, func(chip int, a chipAnswer, ent *cacheEntry, err error) {
-		switch a {
-		case chipExcluded:
-			errs[chip] = e.chips[chip].memoryErr(chip, req)
-		case chipResult:
-			e.stats.CacheHits++
-			costs[chip] = ent.cost
-		case chipError:
-			// Served by a cache entry, or else by the negative memo.
-			if ent != nil {
-				e.stats.CacheHits++
-			} else {
-				e.stats.NegHits++
-			}
-			errs[chip] = err
-		case chipMiss:
-			misses = append(misses, chip)
-		}
-	})
+	sc := e.scanLocked(req, sig)
+	e.stats.CacheHits += sc.hits
+	e.stats.NegHits += sc.negs
 	e.mu.Unlock()
 	// Misses fan out through the bounded mapper worker pool — the same
-	// workers MapAsync uses — overflowing onto caller-owned goroutines
+	// workers Rank schedules on — overflowing onto caller-owned goroutines
 	// when the pool is saturated, so a blocking rank can never deadlock
 	// behind its own queue.
 	var wg sync.WaitGroup
-	for _, i := range misses {
+	for _, i := range sc.misses {
 		i := i
 		wg.Add(1)
 		fn := func() {
 			defer wg.Done()
 			var res core.MapResult
-			res, errs[i] = e.resolve(i, req, sig)
-			costs[i] = res.Cost
+			res, sc.errs[i] = e.resolve(i, req, sig, false)
+			sc.costs[i] = res.Cost
 		}
 		if !e.trySubmit(fn) {
 			go fn()
 		}
 	}
 	wg.Wait()
+	cands := e.candidates(req, sc, false)
 
-	var cands []Candidate
-	var lastErr error
-	for i, err := range errs {
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		cands = append(cands, Candidate{
-			Chip:  i,
-			Cost:  costs[i],
-			Price: e.chips[i].profile.PlacementPrice(k),
-		})
-	}
-	sortCandidates(cands)
-
+	e.mu.Lock()
+	e.stats.Placements++
+	e.stats.PlaceTime += e.clk.Since(start)
+	e.mu.Unlock()
 	if len(cands) == 0 {
-		if lastErr == nil {
-			lastErr = fmt.Errorf("place: no chip can host the request: %w", core.ErrNoCapacity)
-		}
-		return nil, lastErr
+		return nil, e.refusal(req, sc)
 	}
 	return cands, nil
 }
 
-// Resolve returns the concrete mapping for the request on one chip, from
-// the cache when the chip's free set still matches a memoized decision.
-// The returned node slice is owned by the caller.
-func (e *Engine) Resolve(chip int, req Request) (core.MapResult, error) {
+// Claim resolves the request on one chip and books it in the same step:
+// the returned nodes — from the cache when the chip's free set still
+// matches a memoized decision, freshly mapped otherwise — have left the
+// chip's free set when Claim returns, and Release gives them back. The
+// node slice is owned by the caller.
+func (e *Engine) Claim(chip int, req Request) (core.MapResult, error) {
 	if chip < 0 || chip >= len(e.chips) {
 		return core.MapResult{}, fmt.Errorf("place: no chip %d", chip)
 	}
 	if req.Topology == nil || req.Topology.NumNodes() == 0 {
 		return core.MapResult{}, fmt.Errorf("place: request needs a topology")
 	}
-	return e.resolve(chip, req, canonicalKey(req.Topology))
+	return e.resolve(chip, req, canonicalKey(req.Topology), true)
 }
 
-// chipAnswer is how scanLocked classifies one chip for a request.
+// chipAnswer is how classifyLocked classifies one chip for a request.
 type chipAnswer uint8
 
 const (
@@ -806,39 +741,120 @@ const (
 	chipMiss                       // the mapper must run
 )
 
-// scanLocked classifies every chip for the request against the cache and
-// the negative memo under the chips' current free sets, calling visit once
-// per chip in index order. It books nothing — Place, PlaceCached/PlaceHit
-// and MapAsync each account what they serve. Uncacheable requests and
-// cacheless engines miss on every adequate chip. A stale or colliding
-// cache entry (key match, nodes no longer free) is a miss: resolve drops
-// and recomputes it. Caller holds the engine mutex.
-func (e *Engine) scanLocked(req Request, sig string, visit func(chip int, a chipAnswer, ent *cacheEntry, err error)) {
-	cacheable := e.cache != nil && req.cacheable()
-	nk := negKey{topoSig: sig, strat: req.Strategy, nodeInsDel: req.MapOptions.NodeInsDel}
+// classifyLocked answers one chip for the request from the cache and the
+// negative memo under the chip's current free set, booking nothing — the
+// one place Rank, PlaceCached, Place and Claim learn whether a chip's
+// mapping is known. Uncacheable requests and cacheless engines miss on
+// every adequate chip. A stale or colliding cache entry (key match, nodes
+// no longer free) is never handed out: it is a miss, and the recomputed
+// mapping overwrites it. key is the cache key looked up (zero when
+// nothing is cacheable). Caller holds the engine mutex.
+func (e *Engine) classifyLocked(cs *chipState, req Request, sig string) (a chipAnswer, ent *cacheEntry, key cacheKey, err error) {
+	if req.MemoryBytes > cs.profile.MemoryBytes {
+		return chipExcluded, nil, key, nil
+	}
+	if e.cache == nil || !req.cacheable() {
+		return chipMiss, nil, key, nil
+	}
+	key = e.keyLocked(cs, req, sig)
+	if ent, ok := e.cache.get(key); ok {
+		if ent.err != nil {
+			return chipError, ent, key, ent.err
+		}
+		if cs.allFreeLocked(ent.nodes) {
+			return chipResult, ent, key, nil
+		}
+	}
+	// A failure memoized across free-set churn answers without a mapper
+	// run — the free-set signature moved, but the chip has no more
+	// capacity than when the topology last refused to map.
+	if err, ok := e.negGetLocked(cs, req.negKey(sig)); ok {
+		return chipError, nil, key, err
+	}
+	return chipMiss, nil, key, nil
+}
+
+// Scan-internal markers, never returned: errExcluded stands for the
+// memory filter's typed refusal (memoryErr, built only if it is the one
+// returned), errUnmapped for a chip whose mapping is not known yet.
+var (
+	errExcluded = errors.New("place: chip excluded")
+	errUnmapped = errors.New("place: chip not mapped")
+)
+
+// scan is what scanLocked learned about every chip for one request.
+type scan struct {
+	costs  []float64 // per chip, the mapping's cost where errs is nil
+	errs   []error   // per chip: nil, a memoized failure, or a marker above
+	misses []int     // chips the mapper must run for
+	hits   uint64    // chips answered by a cache entry
+	negs   uint64    // chips answered by the negative memo
+	exact  bool      // some cached mapping has edit distance 0
+}
+
+// scanLocked classifies every chip for the request. It books nothing —
+// Rank and Place account what they serve. Caller holds the engine mutex.
+func (e *Engine) scanLocked(req Request, sig string) scan {
+	sc := scan{costs: make([]float64, len(e.chips)), errs: make([]error, len(e.chips))}
 	for i, cs := range e.chips {
-		if req.MemoryBytes > cs.profile.MemoryBytes {
-			visit(i, chipExcluded, nil, nil)
+		a, ent, _, err := e.classifyLocked(cs, req, sig)
+		switch a {
+		case chipExcluded:
+			sc.errs[i] = errExcluded
+		case chipResult:
+			sc.hits++
+			sc.costs[i] = ent.cost
+			sc.exact = sc.exact || ent.cost == 0
+		case chipError:
+			if ent != nil {
+				sc.hits++
+			} else {
+				sc.negs++
+			}
+			sc.errs[i] = err
+		case chipMiss:
+			sc.misses = append(sc.misses, i)
+			sc.errs[i] = errUnmapped
+		}
+	}
+	return sc
+}
+
+// candidates turns a scan into the ranked candidate list: every chip
+// with a mapping — only the exact fits when exactOnly — best first:
+// minimum edit distance, then minimum price, chip order kept among
+// equals.
+func (e *Engine) candidates(req Request, sc scan, exactOnly bool) []Candidate {
+	k := req.Topology.NumNodes()
+	var cands []Candidate
+	for i, err := range sc.errs {
+		if err != nil || (exactOnly && sc.costs[i] != 0) {
 			continue
 		}
-		if cacheable {
-			if ent, ok := e.cache.get(e.keyLocked(cs, req, sig)); ok {
-				if ent.err != nil {
-					visit(i, chipError, ent, ent.err)
-					continue
-				}
-				if cs.allFreeLocked(ent.nodes) {
-					visit(i, chipResult, ent, nil)
-					continue
-				}
-			}
-			if err, ok := e.negGetLocked(cs, nk); ok {
-				visit(i, chipError, nil, err)
-				continue
-			}
-		}
-		visit(i, chipMiss, nil, nil)
+		cands = append(cands, Candidate{Chip: i, Cost: sc.costs[i], Price: e.chips[i].profile.PlacementPrice(k)})
 	}
+	slices.SortStableFunc(cands, func(a, b Candidate) int {
+		if c := cmp.Compare(a.Cost, b.Cost); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Price, b.Price)
+	})
+	return cands
+}
+
+// refusal explains a complete scan that left no candidate: the
+// highest-indexed chip's error.
+func (e *Engine) refusal(req Request, sc scan) error {
+	for i := len(sc.errs) - 1; i >= 0; i-- {
+		switch err := sc.errs[i]; err {
+		case nil, errUnmapped:
+		case errExcluded:
+			return e.chips[i].memoryErr(i, req)
+		default:
+			return err
+		}
+	}
+	return fmt.Errorf("place: no chip can host the request: %w", core.ErrNoCapacity)
 }
 
 // memoryErr is the typed refusal of a request whose memory footprint
@@ -861,65 +877,51 @@ func (e *Engine) keyLocked(cs *chipState, req Request, sig string) cacheKey {
 	}
 }
 
-func (e *Engine) resolve(chip int, req Request, sig string) (core.MapResult, error) {
+// resolve answers the request on one chip: from the cache or the negative
+// memo when classifyLocked can, else by running the mapper against a
+// snapshot of the free set — one computation per cache key, which
+// concurrent resolutions wait on (flights). With claim set, a successful
+// resolution's nodes leave the free set in the hold that found them free;
+// a mapping whose nodes were taken while it computed is retried against
+// the current set, never handed out.
+func (e *Engine) resolve(chip int, req Request, sig string, claim bool) (core.MapResult, error) {
 	cs := e.chips[chip]
-	if req.MemoryBytes > cs.profile.MemoryBytes {
-		return core.MapResult{}, cs.memoryErr(chip, req)
-	}
-	if e.cache == nil || !req.cacheable() {
-		e.mu.Lock()
-		e.stats.CacheMisses++
-		free := cs.freeListLocked()
-		e.mu.Unlock()
-		start := e.clk.Now()
-		res, err := core.MapTopology(cs.graph, free, req.Topology, req.Strategy, req.MapOptions)
-		e.mu.Lock()
-		e.stats.MapTime += e.clk.Since(start)
-		e.mu.Unlock()
-		return res, err
-	}
-
-	nk := negKey{topoSig: sig, strat: req.Strategy, nodeInsDel: req.MapOptions.NodeInsDel}
 	for {
 		e.mu.Lock()
-		key := e.keyLocked(cs, req, sig)
-		if ent, ok := e.cache.get(key); ok {
-			if ent.err != nil {
-				e.stats.CacheHits++
-				err := ent.err
-				e.mu.Unlock()
-				return core.MapResult{}, err
+		a, ent, key, err := e.classifyLocked(cs, req, sig)
+		switch a {
+		case chipExcluded:
+			e.mu.Unlock()
+			return core.MapResult{}, cs.memoryErr(chip, req)
+		case chipResult:
+			e.stats.CacheHits++
+			res := ent.result()
+			if claim {
+				cs.takeLocked(res.Nodes)
 			}
-			if cs.allFreeLocked(ent.nodes) {
+			e.mu.Unlock()
+			return res, nil
+		case chipError:
+			if ent != nil {
 				e.stats.CacheHits++
-				res := ent.result()
-				e.mu.Unlock()
-				return res, nil
+			} else {
+				e.stats.NegHits++
 			}
-			// Signature collision (or foreign churn): the memoized nodes
-			// are not free under the current set despite the key match.
-			// Never hand out such a placement — drop the entry and fall
-			// through to a fresh computation (not a capacity eviction, so
-			// nothing is booked).
-			e.cache.remove(key)
-		}
-		// A failure memoized across free-set churn answers without a
-		// mapper run — the free-set signature moved, but the chip has no
-		// more capacity than when the topology last refused to map.
-		if err, ok := e.negGetLocked(cs, nk); ok {
-			e.stats.NegHits++
 			e.mu.Unlock()
 			return core.MapResult{}, err
 		}
-		if f, ok := e.flights[key]; ok {
-			e.mu.Unlock()
-			<-f.done
-			// The flight populated the cache; loop to pick the entry up
-			// (or recompute under a fresh key if the free set moved on).
-			continue
+		var f *flight
+		if e.cache != nil && req.cacheable() {
+			if running, ok := e.flights[key]; ok {
+				e.mu.Unlock()
+				<-running.done
+				// The flight populated the cache; loop to pick the entry up
+				// (or recompute under a fresh key if the free set moved on).
+				continue
+			}
+			f = &flight{done: make(chan struct{})}
+			e.flights[key] = f
 		}
-		f := &flight{done: make(chan struct{})}
-		e.flights[key] = f
 		free := cs.freeListLocked()
 		snapCount, snapGen := cs.freeCount, cs.relGen
 		e.mu.Unlock()
@@ -930,24 +932,33 @@ func (e *Engine) resolve(chip int, req Request, sig string) (core.MapResult, err
 		e.mu.Lock()
 		e.stats.CacheMisses++
 		e.stats.MapTime += e.clk.Since(start)
-		e.negPutLocked(cs, nk, snapCount, snapGen, err)
-		e.stats.CacheEvictions += e.cache.add(key, &cacheEntry{
-			nodes:      append([]topo.NodeID(nil), res.Nodes...),
-			cost:       res.Cost,
-			candidates: res.Candidates,
-			connected:  res.Connected,
-			err:        err,
-		})
-		delete(e.flights, key)
+		if f != nil {
+			e.negPutLocked(cs, req.negKey(sig), snapCount, snapGen, err)
+			e.stats.CacheEvictions += e.cache.add(key, &cacheEntry{
+				nodes:      append([]topo.NodeID(nil), res.Nodes...),
+				cost:       res.Cost,
+				candidates: res.Candidates,
+				connected:  res.Connected,
+				err:        err,
+			})
+			delete(e.flights, key)
+			close(f.done)
+		}
+		if claim && err == nil {
+			if !cs.allFreeLocked(res.Nodes) {
+				e.mu.Unlock()
+				continue
+			}
+			cs.takeLocked(res.Nodes)
+		}
 		e.mu.Unlock()
-		close(f.done)
 		return res, err
 	}
 }
 
-// Commit applies a create delta: the nodes leave the chip's free set. It
-// fails (leaving the state untouched) if any node is not currently free —
-// a drift between the engine's mirror and the hypervisor's truth.
+// Commit applies a create delta made outside Claim: the nodes leave the
+// chip's free set. It fails (leaving the state untouched) if any node is
+// not currently free.
 func (e *Engine) Commit(chip int, nodes []topo.NodeID) error {
 	if chip < 0 || chip >= len(e.chips) {
 		return fmt.Errorf("place: no chip %d", chip)
@@ -960,11 +971,7 @@ func (e *Engine) Commit(chip int, nodes []topo.NodeID) error {
 			return fmt.Errorf("place: commit of non-free node %d on chip %d", n, chip)
 		}
 	}
-	for _, n := range nodes {
-		cs.free[n] = false
-		cs.freeCount--
-		cs.freeSig ^= nodeHash(n)
-	}
+	cs.takeLocked(nodes)
 	return nil
 }
 
@@ -996,73 +1003,4 @@ func (e *Engine) Release(chip int, nodes []topo.NodeID) error {
 	cs.neg = nil
 	cs.relGen++
 	return nil
-}
-
-// Reserve is the session pool's create hook: like Commit it removes the
-// nodes from the chip's free set (the free-set signature moves exactly as
-// for a one-shot create, so cached mappings can never hand out a core a
-// resident session holds), but the cores are additionally tracked as
-// session-held under the session's scheduling class, visible through
-// HeldCount and HeldBelow. The class must match the later Evict.
-func (e *Engine) Reserve(chip int, nodes []topo.NodeID, class int) error {
-	if err := e.Commit(chip, nodes); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	cs := e.chips[chip]
-	if cs.heldByClass == nil {
-		cs.heldByClass = make(map[int]int)
-	}
-	cs.heldByClass[class] += len(nodes)
-	cs.held += len(nodes)
-	e.mu.Unlock()
-	return nil
-}
-
-// Evict is the session pool's destroy hook, undoing a Reserve: the cores
-// return to the chip's free set and leave the session-held counts.
-func (e *Engine) Evict(chip int, nodes []topo.NodeID, class int) error {
-	if err := e.Release(chip, nodes); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	cs := e.chips[chip]
-	cs.held -= len(nodes)
-	if cs.held < 0 {
-		cs.held = 0
-	}
-	if n := cs.heldByClass[class] - len(nodes); n > 0 {
-		cs.heldByClass[class] = n
-	} else {
-		delete(cs.heldByClass, class)
-	}
-	e.mu.Unlock()
-	return nil
-}
-
-// HeldCount reports how many of a chip's cores are held by resident
-// sessions (busy or idle) — allocated from the engine's point of view,
-// but reclaimable by evicting idle sessions.
-func (e *Engine) HeldCount(chip int) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.chips[chip].held
-}
-
-// HeldBelow reports how many of a chip's cores are held by resident
-// sessions of class at or below the given class — the residency a job of
-// that class may cannibalize under capacity pressure (the pool evicts
-// lowest class first). Session placement consolidates onto chips with
-// the most such cores, keeping higher-class pools and genuinely free
-// chips intact.
-func (e *Engine) HeldBelow(chip, class int) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := 0
-	for c, cores := range e.chips[chip].heldByClass {
-		if c <= class {
-			n += cores
-		}
-	}
-	return n
 }

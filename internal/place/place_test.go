@@ -72,20 +72,17 @@ func TestEngineCommitInvalidatesAndReleaseRestores(t *testing.T) {
 	e := newEngine(t, []place.Chip{simChip()})
 	req := place.Request{Topology: topo.Mesh2D(2, 2)}
 
-	res, err := e.Resolve(0, req)
+	res, err := e.Claim(0, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Commit(0, res.Nodes); err != nil {
-		t.Fatal(err)
-	}
 	if got := e.FreeCount(0); got != 32 {
-		t.Fatalf("free count %d after commit, want 32", got)
+		t.Fatalf("free count %d after claim, want 32", got)
 	}
 
 	// The free set changed, so the same request misses and must map onto
 	// the remaining cores only.
-	res2, err := e.Resolve(0, req)
+	res2, err := e.Claim(0, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +102,13 @@ func TestEngineCommitInvalidatesAndReleaseRestores(t *testing.T) {
 
 	// Releasing restores the original free set: the first decision is
 	// served from cache again.
+	if err := e.Release(0, res2.Nodes); err != nil {
+		t.Fatal(err)
+	}
 	if err := e.Release(0, res.Nodes); err != nil {
 		t.Fatal(err)
 	}
-	res3, err := e.Resolve(0, req)
+	res3, err := e.Claim(0, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,11 +230,8 @@ func TestEngineUncacheableRequestsBypassCache(t *testing.T) {
 
 func TestEngineCommitReleaseDriftDetection(t *testing.T) {
 	e := newEngine(t, []place.Chip{fpgaChip()})
-	res, err := e.Resolve(0, place.Request{Topology: topo.Mesh2D(2, 2)})
+	res, err := e.Claim(0, place.Request{Topology: topo.Mesh2D(2, 2)})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Commit(0, res.Nodes); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Commit(0, res.Nodes); err == nil {
@@ -270,10 +267,15 @@ func TestEngineRelabeledRequestsDoNotAlias(t *testing.T) {
 
 	check := func(req *topo.Graph) {
 		t.Helper()
-		res, err := e.Resolve(0, place.Request{Topology: req})
+		res, err := e.Claim(0, place.Request{Topology: req})
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer func() {
+			if err := e.Release(0, res.Nodes); err != nil {
+				t.Fatal(err)
+			}
+		}()
 		if res.Cost != 0 {
 			t.Fatalf("idle 2x4 mesh must host a 4-chain exactly, cost %v", res.Cost)
 		}

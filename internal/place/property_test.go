@@ -86,13 +86,14 @@ func TestEngineCachedEqualsColdProperty(t *testing.T) {
 					return false
 				}
 			}
-			// Resolve the winner on both engines: identical scores AND
-			// identical core assignments (the mapper is deterministic).
+			// Claim the winner on both engines, so the free sets evolve
+			// in lockstep: identical scores AND identical core
+			// assignments (the mapper is deterministic).
 			chip := wantCands[0].Chip
-			wantRes, wantErr := cold.Resolve(chip, req)
-			gotRes, gotErr := cached.Resolve(chip, req)
+			wantRes, wantErr := cold.Claim(chip, req)
+			gotRes, gotErr := cached.Claim(chip, req)
 			if wantErr != nil || gotErr != nil {
-				t.Logf("seed %d op %d: resolve errors cached %v cold %v", seed, op, gotErr, wantErr)
+				t.Logf("seed %d op %d: claim errors cached %v cold %v", seed, op, gotErr, wantErr)
 				return false
 			}
 			if gotRes.Cost != wantRes.Cost {
@@ -109,15 +110,6 @@ func TestEngineCachedEqualsColdProperty(t *testing.T) {
 						seed, op, i, gotRes.Nodes[i], wantRes.Nodes[i])
 					return false
 				}
-			}
-			// Commit on both so the free sets evolve in lockstep.
-			if err := cached.Commit(chip, gotRes.Nodes); err != nil {
-				t.Logf("seed %d op %d: cached commit: %v", seed, op, err)
-				return false
-			}
-			if err := cold.Commit(chip, wantRes.Nodes); err != nil {
-				t.Logf("seed %d op %d: cold commit: %v", seed, op, err)
-				return false
 			}
 			live = append(live, livePlacement{chip: chip, nodes: gotRes.Nodes})
 		}

@@ -2,9 +2,15 @@ package sched
 
 import (
 	"context"
+	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/vnpu-sim/vnpu/internal/core"
+	"github.com/vnpu-sim/vnpu/internal/obs"
 )
 
 // asyncJob drives the async-ranking executor: mapped is closed when the
@@ -16,9 +22,8 @@ type asyncJob struct {
 	block  chan struct{}
 }
 
-// asyncExec is a single-chip executor implementing AsyncRanker: a job
-// ranks (hits-first or fully) only once its mapping landed, mirroring
-// the placement engine's cache semantics.
+// asyncExec is a single-chip executor whose Rank parks a job until its
+// mapping landed, mirroring the placement engine's cache semantics.
 type asyncExec struct {
 	mu    sync.Mutex
 	order []string
@@ -36,24 +41,18 @@ func (e *asyncExec) jobMapped(j *asyncJob) bool {
 	}
 }
 
-func (e *asyncExec) Rank(j *asyncJob) ([]Candidate, error) {
-	// The dispatcher only ranks fully once RankAsync reported nothing to
-	// wait for; by then the mapping is cached.
-	return []Candidate{{Chip: 0}}, nil
+func (e *asyncExec) Rank(j *asyncJob) ([]Candidate, <-chan struct{}, error) {
+	if !e.jobMapped(j) {
+		return nil, j.mapped, nil
+	}
+	return []Candidate{{Chip: 0}}, nil, nil
 }
 
-func (e *asyncExec) RankHit(j *asyncJob) []Candidate {
+func (e *asyncExec) RankCached(j *asyncJob) []Candidate {
 	if !e.jobMapped(j) {
 		return nil
 	}
 	return []Candidate{{Chip: 0}}
-}
-
-func (e *asyncExec) RankAsync(j *asyncJob) <-chan struct{} {
-	if e.jobMapped(j) {
-		return nil
-	}
-	return j.mapped
 }
 
 func (e *asyncExec) Place(chip int, j *asyncJob) (int, error) { return chip, nil }
@@ -175,10 +174,9 @@ func TestHitsFirstMapParkedDeadline(t *testing.T) {
 	close(miss.mapped) // unblock the abandoned mapping edge
 }
 
-// recordingExec logs every executor call with the job it names,
-// implementing each optional ranking extension so none can be used
-// unseen. Rank announces itself on a job's inRank and parks until its
-// rankGate closes; Execute parks on its block.
+// recordingExec logs every executor call with the job it names. Rank
+// announces itself on a job's inRank and parks until its rankGate
+// closes; Execute parks on its block.
 type recordingExec struct {
 	mu    sync.Mutex
 	calls []string // job names, one per executor call, in call order
@@ -203,19 +201,16 @@ func (e *recordingExec) named() []string {
 	return append([]string(nil), e.calls...)
 }
 
-func (e *recordingExec) Rank(j *recordedJob) ([]Candidate, error) {
+func (e *recordingExec) Rank(j *recordedJob) ([]Candidate, <-chan struct{}, error) {
 	e.record(j)
 	if j.rankGate != nil {
 		j.inRank <- struct{}{}
 		<-j.rankGate
 	}
-	return []Candidate{{Chip: 0}}, nil
+	return []Candidate{{Chip: 0}}, nil, nil
 }
 
 func (e *recordingExec) RankCached(j *recordedJob) []Candidate { e.record(j); return nil }
-func (e *recordingExec) RankHit(j *recordedJob) []Candidate    { e.record(j); return nil }
-
-func (e *recordingExec) RankAsync(j *recordedJob) <-chan struct{} { e.record(j); return nil }
 
 func (e *recordingExec) Place(chip int, j *recordedJob) (int, error) { e.record(j); return chip, nil }
 
@@ -287,5 +282,259 @@ func TestDispatcherMapsOnlyWhatItPops(t *testing.T) {
 		if first[i] != want[i] {
 			t.Fatalf("first calls = %v, want %v", first, want)
 		}
+	}
+}
+
+// seamJob drives seamExec: mapped (non-nil) parks the job's Rank on it
+// until closed; gate (non-nil) holds the job's first Rank, announced on
+// the executor's inRank, until closed; block parks Execute.
+type seamJob struct {
+	name   string
+	mapped chan struct{}
+	gate   chan struct{}
+	block  chan struct{}
+}
+
+// seamExec is a one-chip executor with unit capacity that logs every
+// ranking and placing call as "Method job".
+type seamExec struct {
+	mu     sync.Mutex
+	free   int
+	calls  []string
+	inRank chan string
+}
+
+func (e *seamExec) log(method string, j *seamJob) {
+	e.mu.Lock()
+	e.calls = append(e.calls, method+" "+j.name)
+	e.mu.Unlock()
+}
+
+func (e *seamExec) logged() []string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return append([]string(nil), e.calls...)
+}
+
+// fits answers both ranks: nothing while the job's mapping is out or the
+// chip is taken.
+func (e *seamExec) fits(j *seamJob) []Candidate {
+	if j.mapped != nil {
+		select {
+		case <-j.mapped:
+		default:
+			return nil
+		}
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.free < 1 {
+		return nil
+	}
+	return []Candidate{{Chip: 0}}
+}
+
+func (e *seamExec) Rank(j *seamJob) ([]Candidate, <-chan struct{}, error) {
+	e.log("Rank", j)
+	if j.gate != nil {
+		select {
+		case <-j.gate:
+		default:
+			e.inRank <- j.name
+			<-j.gate
+		}
+	}
+	if j.mapped != nil {
+		select {
+		case <-j.mapped:
+		default:
+			return nil, j.mapped, nil
+		}
+	}
+	if cands := e.fits(j); cands != nil {
+		return cands, nil, nil
+	}
+	return nil, nil, fmt.Errorf("chip 0 is taken: %w", core.ErrNoCapacity)
+}
+
+func (e *seamExec) RankCached(j *seamJob) []Candidate {
+	e.log("RankCached", j)
+	return e.fits(j)
+}
+
+func (e *seamExec) Place(chip int, j *seamJob) (int, error) {
+	e.log("Place", j)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.free < 1 {
+		return 0, fmt.Errorf("chip 0 is taken: %w", core.ErrNoCapacity)
+	}
+	e.free--
+	return 1, nil
+}
+
+func (e *seamExec) Execute(ctx context.Context, chip, pl int, j *seamJob) (string, time.Duration, error) {
+	if j.block != nil {
+		<-j.block
+	}
+	return j.name, 0, nil
+}
+
+func (e *seamExec) Release(chip, pl int) error {
+	e.mu.Lock()
+	e.free += pl
+	e.mu.Unlock()
+	return nil
+}
+
+// waitLogged polls until the executor's log satisfies done.
+func waitLogged(t *testing.T, e *seamExec, what string, done func([]string) bool) []string {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if calls := e.logged(); done(calls) {
+			return calls
+		}
+	}
+	t.Fatalf("never saw %s; calls: %v", what, e.logged())
+	return nil
+}
+
+// TestDispatcherRanksOncePerAttempt pins the executor seam's traffic.
+// A popped job is ranked exactly once per placement attempt: once before
+// it parks on its mapping edge, nothing while the edge is open, once when
+// it closes. A job still queued is named only by a backfill pass under a
+// capacity-parked head — one Rank for the best-ordered candidate, then
+// RankCached for every other — and never placed from there while the
+// chip is taken.
+func TestDispatcherRanksOncePerAttempt(t *testing.T) {
+	exec := &seamExec{free: 1, inRank: make(chan string, 1)}
+	d, err := New[*seamJob, int, string](exec, Config{Chips: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	submit := func(j *seamJob) *Handle[string] {
+		t.Helper()
+		h, err := d.Submit(context.Background(), "t", 0, time.Time{}, j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+
+	// A job whose mapping is out: one Rank, then silence until the edge.
+	parker := &seamJob{name: "parker", mapped: make(chan struct{}), block: make(chan struct{})}
+	hParker := submit(parker)
+	waitLogged(t, exec, "the parker's first rank", func(c []string) bool { return len(c) > 0 })
+	time.Sleep(20 * time.Millisecond)
+	if calls := exec.logged(); len(calls) != 1 || calls[0] != "Rank parker" {
+		t.Fatalf("calls while the mapping edge is open = %v, want one Rank", calls)
+	}
+	close(parker.mapped)
+	<-hParker.Started()
+	if calls, want := exec.logged(), []string{"Rank parker", "Rank parker", "Place parker"}; !slices.Equal(calls, want) {
+		t.Fatalf("calls for a job that parked once = %v, want %v", calls, want)
+	}
+
+	// The parker holds the chip. The head is held inside its first Rank
+	// until three more jobs are queued behind it, then parks on capacity.
+	head := &seamJob{name: "head", gate: make(chan struct{})}
+	handles := []*Handle[string]{hParker, submit(head)}
+	<-exec.inRank
+	for _, name := range []string{"q1", "q2", "q3"} {
+		handles = append(handles, submit(&seamJob{name: name}))
+	}
+	close(head.gate)
+	// Each arrival poked the parked head into another attempt; the last
+	// one backfills over all three queued jobs.
+	calls := waitLogged(t, exec, "a backfill pass over q1..q3", func(c []string) bool {
+		return len(c) >= 3 && slices.Equal(c[len(c)-3:], []string{"Rank q1", "RankCached q2", "RankCached q3"})
+	})
+	time.Sleep(20 * time.Millisecond)
+	calls = exec.logged()[3:]
+	ranksThisAttempt := -1
+	for i, call := range calls {
+		method, job, _ := strings.Cut(call, " ")
+		switch {
+		case call == "Rank head":
+			ranksThisAttempt = 0
+		case job == "head" || job == "parker":
+			t.Fatalf("call %d = %q names a popped job outside its attempt's Rank: %v", i, call, calls)
+		case ranksThisAttempt < 0:
+			t.Fatalf("call %d = %q names a queued job before any head attempt: %v", i, call, calls)
+		case method == "Rank":
+			if ranksThisAttempt++; ranksThisAttempt > 1 || job != "q1" || calls[i-1] != "Rank head" {
+				t.Fatalf("call %d = %q: a backfill pass ranks only its best-ordered candidate, once, first: %v", i, call, calls)
+			}
+		case method != "RankCached":
+			t.Fatalf("call %d = %q: a queued job is only ever ranked, and beyond the first only from cache: %v", i, call, calls)
+		}
+	}
+
+	close(parker.block)
+	for _, h := range handles {
+		if _, err := h.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := d.Stats(); s.Completed != uint64(len(handles)) || s.MapParked != 1 {
+		t.Fatalf("completed %d of %d with %d map-parks, want all and 1: %+v", s.Completed, len(handles), s.MapParked, s)
+	}
+}
+
+// reparkExec parks a job on each of its edges in turn before ranking it.
+type reparkExec struct {
+	asyncExec
+	edges []chan struct{}
+	next  int // only the dispatcher goroutine ranks
+}
+
+func (e *reparkExec) Rank(j *asyncJob) ([]Candidate, <-chan struct{}, error) {
+	if e.next < len(e.edges) {
+		e.next++
+		return nil, e.edges[e.next-1], nil
+	}
+	return []Candidate{{Chip: 0}}, nil, nil
+}
+
+// TestMapParkedTracedOnce: a job whose free set moves under its mapping
+// parks again, and every park counts in Stats.MapParked, but its trace
+// marks where the wait began once — a lifecycle is a bounded number of
+// events however long the mapper and the free set chase each other.
+func TestMapParkedTracedOnce(t *testing.T) {
+	exec := &reparkExec{edges: []chan struct{}{make(chan struct{}), make(chan struct{}), make(chan struct{})}}
+	d, err := New[*asyncJob, int, string](exec, Config{Chips: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	var mu sync.Mutex
+	var placed []string
+	d.SetObserver(func(_ *asyncJob, stage obs.Stage, detail string, _ int) {
+		if stage == obs.StagePlaced {
+			mu.Lock()
+			placed = append(placed, detail)
+			mu.Unlock()
+		}
+	})
+	h, err := d.Submit(context.Background(), "t", 0, time.Time{}, &asyncJob{name: "chased"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, edge := range exec.edges {
+		for deadline := time.Now().Add(5 * time.Second); d.Stats().MapParked != uint64(i+1); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("park %d never happened: %+v", i+1, d.Stats())
+			}
+		}
+		close(edge)
+	}
+	if _, err := h.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{"map-parked", "hit"}; !slices.Equal(placed, want) {
+		t.Fatalf("placed events = %v, want %v for a job that parked %d times", placed, want, len(exec.edges))
 	}
 }

@@ -135,8 +135,9 @@ type Queue[T any] struct {
 	cfg     Config
 	buckets []bucketHeap[T]
 	size    int
-	// rounds counts pops; aging is measured against it, so starvation
-	// bounds are expressed in scheduling rounds, not wall-clock time.
+	// rounds counts pops and takes; aging is measured against it, so
+	// starvation bounds are expressed in scheduling rounds, not wall-clock
+	// time.
 	rounds     uint64
 	promotions []uint64 // by source class
 	expired    uint64
@@ -172,7 +173,8 @@ func (q *Queue[T]) LenClass(class int) int {
 	return len(q.buckets[class])
 }
 
-// Rounds reports how many pops the queue has served.
+// Rounds reports how many scheduling rounds (Pop, Take) the queue has
+// served.
 func (q *Queue[T]) Rounds() uint64 { return q.rounds }
 
 // Promotions reports aging promotions by the class the item was promoted
@@ -224,8 +226,7 @@ func (q *Queue[T]) Pop() (*Item[T], bool) {
 	if q.size == 0 {
 		return nil, false
 	}
-	q.rounds++
-	q.age()
+	q.round()
 	for b := q.cfg.Classes - 1; b >= 0; b-- {
 		if len(q.buckets[b]) == 0 {
 			continue
@@ -237,11 +238,13 @@ func (q *Queue[T]) Pop() (*Item[T], bool) {
 	return nil, false
 }
 
-// age promotes items that waited AgingRounds pops in their current
-// class one class up; items that wait a further window in the top class
-// are boosted ahead of the class's EDF order (see Item.boosted), so
-// deadline-carrying arrivals cannot starve them either.
-func (q *Queue[T]) age() {
+// round counts one scheduling round and promotes items that waited
+// AgingRounds rounds in their current class one class up; items that
+// wait a further window in the top class are boosted ahead of the
+// class's EDF order (see Item.boosted), so deadline-carrying arrivals
+// cannot starve them either.
+func (q *Queue[T]) round() {
+	q.rounds++
 	if q.cfg.AgingRounds < 0 {
 		return
 	}
@@ -368,7 +371,20 @@ func (q *Queue[T]) InOrder(max int) []*Item[T] {
 	return out
 }
 
-// Remove extracts a specific queued item (a backfill placement),
+// Take extracts a specific queued item the caller placed out of pop order
+// (a backfill placement), reporting false when the item is no longer
+// queued. Like the Pop it stands in for, it is one scheduling round:
+// everything left behind ages exactly as if the item had been popped.
+func (q *Queue[T]) Take(it *Item[T]) bool {
+	if it.idx < 0 {
+		return false
+	}
+	q.round()
+	return q.Remove(it)
+}
+
+// Remove extracts a specific queued item without a scheduling round (a
+// steal: the job leaves for another queue, nothing here was served),
 // reporting false when the item is no longer queued.
 func (q *Queue[T]) Remove(it *Item[T]) bool {
 	if it.idx < 0 {

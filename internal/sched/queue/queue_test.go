@@ -258,3 +258,58 @@ func TestNextDeadline(t *testing.T) {
 		t.Fatalf("next deadline %v ok=%v, want %v", dl, ok, base.Add(time.Minute))
 	}
 }
+
+// TestTakeIsASchedulingRound: taking a placed item out of pop order ages
+// what it leaves behind exactly as popping it would. Two queues hold the
+// same low-class watcher behind a stream of top-class items; one serves
+// the stream with Pop, the other with Take of the same item (what a
+// backfill placement does). After every step the watcher's effective
+// class, the round count and the promotion counters agree — while Remove,
+// the steal path, advances nothing.
+func TestTakeIsASchedulingRound(t *testing.T) {
+	const aging, stream = 2, 7
+	build := func() (*Queue[int], *Item[int], []*Item[int]) {
+		q := New[int](Config{Classes: 4, AgingRounds: aging})
+		items := make([]*Item[int], stream)
+		for i := range items {
+			items[i] = q.Push(i, 3, time.Time{}, uint64(i))
+		}
+		watcher := q.Push(-1, 0, time.Time{}, stream)
+		return q, watcher, items
+	}
+	popped, popWatcher, _ := build()
+	taken, takeWatcher, takeItems := build()
+	removed, removeWatcher, removeItems := build()
+	for i := 0; i < stream; i++ {
+		if got := pop(t, popped); got != i {
+			t.Fatalf("step %d: popped %d, want the stream in order", i, got)
+		}
+		if !taken.Take(takeItems[i]) {
+			t.Fatalf("step %d: Take of a queued item reported false", i)
+		}
+		if !removed.Remove(removeItems[i]) {
+			t.Fatalf("step %d: Remove of a queued item reported false", i)
+		}
+		if taken.Rounds() != popped.Rounds() || takeWatcher.Bucket() != popWatcher.Bucket() {
+			t.Fatalf("step %d: after Take rounds=%d watcher class %d; after Pop rounds=%d watcher class %d",
+				i, taken.Rounds(), takeWatcher.Bucket(), popped.Rounds(), popWatcher.Bucket())
+		}
+		for c, n := range popped.Promotions() {
+			if got := taken.Promotions()[c]; got != n {
+				t.Fatalf("step %d: %d promotions out of class %d after Take, %d after Pop", i, got, c, n)
+			}
+		}
+		if taken.Len() != popped.Len() {
+			t.Fatalf("step %d: %d left after Take, %d after Pop", i, taken.Len(), popped.Len())
+		}
+	}
+	if popWatcher.Bucket() != 3 {
+		t.Fatalf("watcher reached class %d after %d rounds at aging %d, want the top class", popWatcher.Bucket(), stream, aging)
+	}
+	if removed.Rounds() != 0 || removeWatcher.Bucket() != 0 {
+		t.Fatalf("Remove advanced aging: rounds=%d watcher class %d", removed.Rounds(), removeWatcher.Bucket())
+	}
+	if taken.Take(takeItems[0]) {
+		t.Fatal("Take of an item no longer queued reported true")
+	}
+}

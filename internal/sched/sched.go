@@ -17,8 +17,17 @@
 //
 // Lifecycle of a job:
 //
-//	Submit ──quota+queue check──▶ class queue ──dispatcher──▶ Place(best chip)
+//	Submit ──quota+queue check──▶ class queue ──dispatcher──▶ Rank ──▶ Place(best chip)
 //	        ──worker[chip]──▶ Execute ──▶ Release ──▶ Handle resolves
+//
+// The dispatcher asks the executor where a popped job fits once per
+// placement attempt (Executor.Rank) and claims the best candidate whose
+// Place succeeds. Costs are non-negative, so a candidate of cost 0 is one
+// no other chip can beat; an executor still computing some chip's answer
+// may name such exact fits at once, and otherwise returns the edge the job
+// parks on while the dispatch loop serves other work. Queued jobs are
+// named to the executor only by backfill: one Rank for the best-ordered
+// candidate, RankCached — which never computes or evicts — for the rest.
 //
 // Admission and completion are owned by one scheduler core for BOTH
 // serving paths. Submit admits a job into the dispatcher's queue; Admit
@@ -48,10 +57,11 @@
 package sched
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -82,17 +92,17 @@ type Score struct {
 	Warm  float64
 }
 
-func (s Score) less(o Score) bool {
-	if s.Cost != o.Cost {
-		return s.Cost < o.Cost
+func (s Score) compare(o Score) int {
+	if c := cmp.Compare(s.Cost, o.Cost); c != 0 {
+		return c
 	}
-	if s.Price != o.Price {
-		return s.Price < o.Price
+	if c := cmp.Compare(s.Price, o.Price); c != 0 {
+		return c
 	}
-	if s.Load != o.Load {
-		return s.Load < o.Load
+	if c := cmp.Compare(s.Load, o.Load); c != 0 {
+		return c
 	}
-	return s.Warm > o.Warm
+	return cmp.Compare(o.Warm, s.Warm)
 }
 
 // Candidate is one chip a job could be placed on, with its score.
@@ -102,13 +112,25 @@ type Candidate struct {
 }
 
 // Executor abstracts the chips the dispatcher schedules over. All methods
-// may be called concurrently: Rank and Place from the dispatcher
-// goroutine, Execute and Release from per-chip workers.
+// may be called concurrently: Rank, RankCached and Place from the
+// dispatcher goroutine, Execute and Release from per-chip workers.
 type Executor[Job, Placement, Result any] interface {
-	// Rank lists the chips that can host the job right now, with their
-	// scores (the dispatcher orders them itself). When it returns no
-	// candidates, the error must explain why no chip qualifies.
-	Rank(job Job) ([]Candidate, error)
+	// Rank answers where the job fits right now, once per placement
+	// attempt; the dispatcher orders the candidates itself. Score.Cost
+	// must be non-negative: a candidate of cost 0 is one no other chip can
+	// beat. With pending nil the answer is final for this attempt — every
+	// chip that can host the job, or, from an executor that has not
+	// answered every chip yet, only candidates of cost 0; when there are
+	// none, err must explain why no chip qualifies. A non-nil pending
+	// promises that the executor is computing what it lacks and closes the
+	// channel once it has landed; it comes with no candidates, the job
+	// parks on it, and the dispatcher ranks again when it closes.
+	Rank(job Job) (cands []Candidate, pending <-chan struct{}, err error)
+	// RankCached lists only the chips servable from placement state
+	// already computed — backfill's look at a job still queued. It must
+	// never compute a placement nor evict anything to make room, and may
+	// return nil.
+	RankCached(job Job) []Candidate
 	// Place claims resources for job on chip (e.g. creates the vNPU).
 	Place(chip int, job Job) (Placement, error)
 	// Execute runs a placed job to completion on its chip, reporting how
@@ -147,11 +169,12 @@ type Config struct {
 	// Reclaim, when non-nil, asks the external path to give capacity
 	// back (e.g. evict one idle resident session — lowest class first,
 	// so high-priority cold jobs preempt low-priority warm residency),
-	// returning whether it freed anything. The dispatcher calls it after
-	// every ranked Place attempt failed — covering failures the ranking
-	// stage cannot see, like memory exhaustion at create time — and
-	// rescores on success, so idle warm pools are reclaimed before a job
-	// parks or fails.
+	// returning whether it freed anything. The dispatcher calls it when a
+	// head-of-line attempt claimed nothing — the rank named no chip, or
+	// every ranked Place failed for a reason a score cannot see, like
+	// memory exhaustion at create time — and ranks again on success, so
+	// idle warm pools are reclaimed before a job parks or fails. It is
+	// the one place dispatcher jobs evict; backfill never calls it.
 	Reclaim func() bool
 	// Clock supplies time to every dispatcher timestamp and timer —
 	// deadline checks, queue-wait accounting, parked-deadline timers. Nil
@@ -192,8 +215,9 @@ type Stats struct {
 	Failed uint64
 	// ChipJobs counts jobs executed per chip.
 	ChipJobs []int
-	// HitsFirst counts jobs started through the hits-first fast path: an
-	// exact cached fit, claimed without waiting for the full rank.
+	// HitsFirst counts head-of-line jobs started on an exact fit — a
+	// candidate of cost 0, the only kind an executor names before it has
+	// answered every chip (hits-first).
 	HitsFirst uint64
 	// MapParked counts parks, not jobs: one tick each time a dispatch
 	// parked on an async mapping (the mapReady edge) instead of blocking
@@ -327,6 +351,9 @@ type task[Job, Result any] struct {
 	job      Job
 	deadline time.Time
 	h        *Handle[Result]
+	// mapParked is set by the job's first park on a mapping edge, the one
+	// the trace records; only the dispatcher goroutine touches it.
+	mapParked bool
 }
 
 type placed[Job, Placement, Result any] struct {
@@ -399,8 +426,9 @@ type Dispatcher[Job, Placement, Result any] struct {
 	mapReady []*queue.Item[*task[Job, Result]]
 	// observer, when set (SetObserver), receives one callback per job
 	// lifecycle transition the dispatcher owns: admitted, placed (detail
-	// "hit"/"miss"/"map-parked"), executing, done/failed. Chip is -1 for
-	// off-chip stages. Called outside the dispatcher lock.
+	// "hit"/"miss", after "map-parked" once if the job parked on a mapping),
+	// executing, done/failed. Chip is -1 for off-chip stages. Called
+	// outside the dispatcher lock.
 	observer func(job Job, stage obs.Stage, detail string, chip int)
 
 	dispatcherDone chan struct{}
@@ -709,7 +737,8 @@ func (d *Dispatcher[Job, Placement, Result]) Steal(maxClass, max int) []Stolen[J
 
 // SetObserver installs the lifecycle trace hook: one callback per
 // transition the dispatcher owns — admitted (Submit succeeded), placed
-// (detail "hit"/"miss"/"map-parked"), executing, and done/failed. Chip
+// (detail "hit"/"miss" for the claim; "map-parked" once before it, when
+// the job first parks on a mapping), executing, and done/failed. Chip
 // is -1 for off-chip stages. The hook is called outside the dispatcher
 // lock and must be cheap and non-blocking (the obs.Recorder qualifies).
 // Install it before the first Submit.
@@ -918,71 +947,16 @@ func (d *Dispatcher[Job, Placement, Result]) yield(it *queue.Item[*task[Job, Res
 	return true
 }
 
-// CachedRanker is an optional Executor extension: RankCached lists only
-// the chips servable from already-computed placement state, without any
-// expensive mapping work, and may return nil when nothing is cached.
-// The dispatcher's backfill pass prefers it, so opportunistic
-// out-of-order placements never serialize placement computation behind
-// the head-of-line job.
-type CachedRanker[Job any] interface {
-	RankCached(job Job) []Candidate
-}
-
-// AsyncRanker is an optional Executor extension enabling hits-first
-// dispatch: mapping misses move off the dispatch loop entirely.
-//
-//   - RankHit lists only candidates the executor is willing to start
-//     immediately from cached placement state — cached mappings no
-//     full rank could beat (an exact fit). It must be cheap (no mapping
-//     work) and may return nil.
-//   - RankAsync starts (or joins) the asynchronous computation of the
-//     job's missing mappings, returning a channel closed when they have
-//     landed — the job parks on that mapReady edge while the dispatcher
-//     keeps serving other work. It must return nil when there is nothing
-//     to compute (every chip already answered, or the job's placement is
-//     uncacheable), which tells the dispatcher to rank synchronously —
-//     by then a cheap, cache-served call.
-//
-// Hits-first relaxes the dispatcher's strict pop order for jobs whose
-// mapping is not ready: while a job is map-parked, younger QUEUED jobs
-// may place ahead of it (bounded by mapping latency — the job re-enters
-// ahead of the queue the moment its mapping lands). The external
-// fairness gate is unchanged: a map-parked job still blocks younger
-// session-path work of equal-or-lower class (mapWaits feeds
-// blockedLocked), and capacity parking keeps its ordinary semantics.
-type AsyncRanker[Job any] interface {
-	RankHit(job Job) []Candidate
-	RankAsync(job Job) <-chan struct{}
-}
-
-// tryClaim ranks the chips and claims the best available one for t,
-// handing it to that chip's worker. head marks the dispatcher's
-// head-of-line attempt, whose parked ticket must clear in the same
-// critical section that claims the placement. It reports false with the
-// last placement error when no chip can host the job right now.
-func (d *Dispatcher[Job, Placement, Result]) tryClaim(t *task[Job, Result], head bool) (bool, error) {
-	// Ranking is one executor call: the placement engine behind it
-	// scores every chip from its mapping cache (the formerly dominant
-	// per-chip dry-run cost of dispatch).
-	cands, rankErr := d.exec.Rank(t.job)
-	ok, placeErr := d.claimFrom(cands, t, head, "miss")
-	if ok {
-		return true, nil
-	}
-	if placeErr != nil {
-		return false, placeErr
-	}
-	return false, rankErr
-}
-
 // claimFrom tries the candidates in score order, claiming the first
 // chip whose Place succeeds and handing the job to that chip's worker.
-// detail tags the trace event for a successful claim — "hit" for
-// cache-served candidate lists, "miss" for fully ranked ones. It reports
-// the last Place error when every candidate refused.
-func (d *Dispatcher[Job, Placement, Result]) claimFrom(cands []Candidate, t *task[Job, Result], head bool, detail string) (bool, error) {
-	sort.SliceStable(cands, func(i, j int) bool {
-		return cands[i].Score.less(cands[j].Score)
+// head marks the dispatcher's head-of-line attempt, whose parked ticket
+// must clear in the same critical section that claims the placement. The
+// trace event of a successful claim is tagged "hit" for an exact fit
+// (cost 0) and "miss" otherwise. It reports the last Place error when
+// every candidate refused.
+func (d *Dispatcher[Job, Placement, Result]) claimFrom(cands []Candidate, t *task[Job, Result], head bool) (bool, error) {
+	slices.SortStableFunc(cands, func(a, b Candidate) int {
+		return a.Score.compare(b.Score)
 	})
 	// Try chips in ranked order: Place can fail for reasons a score
 	// cannot see (e.g. memory exhaustion), so fall through to the
@@ -995,13 +969,21 @@ func (d *Dispatcher[Job, Placement, Result]) claimFrom(cands []Candidate, t *tas
 			lastErr = err
 			continue
 		}
+		exact := c.Score.Cost == 0
 		d.mu.Lock()
 		d.inflight++
 		if head {
 			d.parked = nil
+			if exact {
+				d.stats.HitsFirst++
+			}
 			d.checkTurnsLocked()
 		}
 		d.mu.Unlock()
+		detail := "miss"
+		if exact {
+			detail = "hit"
+		}
 		t.h.MarkStarted(chip)
 		if d.observer != nil {
 			d.observer(t.job, obs.StagePlaced, detail, chip)
@@ -1051,20 +1033,20 @@ const (
 // whenever the head needs a bigger slot than any chip has free; bounded
 // backfill keeps them busy without giving the jumped job the head's
 // turn (external WaitTurn callers still see the parked head as the
-// oldest blocker). When the executor offers a cached rank, candidates
-// are only considered if their placement is already computed — backfill
-// is opportunistic and must never stall the dispatcher on mapping work.
+// oldest blocker). A backfill placement is one scheduling round of the
+// queue's aging, as the pop it stands in for.
 func (d *Dispatcher[Job, Placement, Result]) backfillOne() bool {
-	cr, hasCached := d.exec.(CachedRanker[Job])
 	d.mu.Lock()
-	cands := d.q.InOrder(backfillScan)
+	queued := d.q.InOrder(backfillScan)
 	d.mu.Unlock()
-	// One full rank per pass: the best-ordered candidate is about to pop
+	// One Rank per pass: the best-ordered candidate is about to pop
 	// anyway, so computing its placement is never wasted work (it lands
-	// in the executor's cache); every further candidate must be
-	// cache-served or it is skipped.
-	fullRankSpent := false
-	for _, it := range cands {
+	// in the executor's cache), and the pass waits for it here on the
+	// dispatch loop; every further candidate must be cache-served or it
+	// is skipped — backfill is opportunistic and never stalls the
+	// dispatcher on a second mapping.
+	ranked := false
+	for _, it := range queued {
 		t := it.Job
 		// Skip jobs the dispatch loop's own sweeps will fail.
 		if t.ctx.Err() != nil {
@@ -1073,20 +1055,24 @@ func (d *Dispatcher[Job, Placement, Result]) backfillOne() bool {
 		if !t.deadline.IsZero() && d.now().After(t.deadline) {
 			continue
 		}
-		var ok bool
-		if !hasCached || !fullRankSpent {
-			fullRankSpent = true
-			ok, _ = d.tryClaim(t, false)
+		var cands []Candidate
+		if ranked {
+			cands = d.exec.RankCached(t.job)
 		} else {
-			ok, _ = d.claimFrom(cr.RankCached(t.job), t, false, "hit")
+			ranked = true
+			var pending <-chan struct{}
+			if cands, pending, _ = d.exec.Rank(t.job); pending != nil {
+				<-pending
+				cands, _, _ = d.exec.Rank(t.job)
+			}
 		}
-		if !ok {
+		if ok, _ := d.claimFrom(cands, t, false); !ok {
 			continue
 		}
 		d.mu.Lock()
 		// Only the dispatcher goroutine pops or removes, so the claimed
 		// item is necessarily still queued.
-		d.q.Remove(it)
+		d.q.Take(it)
 		d.classes[it.Bucket()].stats.Backfilled++
 		d.checkTurnsLocked()
 		d.mu.Unlock()
@@ -1111,9 +1097,13 @@ func (d *Dispatcher[Job, Placement, Result]) parkForMapping(t *task[Job, Result]
 	d.parked = nil
 	d.checkTurnsLocked()
 	d.mu.Unlock()
-	if d.observer != nil {
+	// A job whose free set keeps moving under its mapping parks again and
+	// again; the trace marks where the wait began, once, so a lifecycle
+	// stays a bounded number of events (Stats.MapParked counts them all).
+	if !t.mapParked && d.observer != nil {
 		d.observer(t.job, obs.StagePlaced, "map-parked", -1)
 	}
+	t.mapParked = true
 	go func() {
 		var deadlineC <-chan time.Time
 		if !t.deadline.IsZero() {
@@ -1136,17 +1126,16 @@ func (d *Dispatcher[Job, Placement, Result]) parkForMapping(t *task[Job, Result]
 	}()
 }
 
-// place claims a chip for the job the dispatcher popped — hits-first
-// when the executor supports it: an exact cached fit starts
-// immediately, a mapping miss parks the job on the async
-// mappers' mapReady edge (the dispatch loop moves on). When no chip can
-// host it, it reclaims external capacity, backfills smaller queued
-// jobs into holes the head cannot use, and parks until a release —
-// unless a better-ordered arrival displaces the job back into the
-// queue, or its deadline passes first; with nothing in flight the
-// failure is terminal.
+// place claims a chip for the job the dispatcher popped, one Rank per
+// attempt: candidates are claimed in score order; an executor still
+// computing parks the job on its mapReady edge, and the dispatch loop
+// moves on — younger queued jobs may place ahead of it until its mapping
+// lands and it re-enters ahead of the queue. When no chip can host it,
+// it reclaims external capacity, backfills smaller queued jobs into
+// holes the head cannot use, and parks until a release — unless a
+// better-ordered arrival displaces the job back into the queue, or its
+// deadline passes first; with nothing in flight the failure is terminal.
 func (d *Dispatcher[Job, Placement, Result]) place(t *task[Job, Result], it *queue.Item[*task[Job, Result]]) {
-	ar, hitsFirst := d.exec.(AsyncRanker[Job])
 	var deadlineC <-chan time.Time
 	if !t.deadline.IsZero() {
 		timer := d.timerUntil(t.deadline)
@@ -1155,32 +1144,32 @@ func (d *Dispatcher[Job, Placement, Result]) place(t *task[Job, Result], it *que
 	}
 	backfills := 0
 	for {
-		if hitsFirst {
-			if cands := ar.RankHit(t.job); len(cands) > 0 {
-				if ok, _ := d.claimFrom(cands, t, true, "hit"); ok {
-					d.mu.Lock()
-					d.stats.HitsFirst++
-					d.mu.Unlock()
-					return
-				}
-			}
-			if ready := ar.RankAsync(t.job); ready != nil {
-				d.parkForMapping(t, it, ready)
-				return
-			}
+		cands, pending, rankErr := d.exec.Rank(t.job)
+		if pending != nil {
+			d.parkForMapping(t, it, pending)
+			return
 		}
-		placedOK, lastErr := d.tryClaim(t, true)
+		placedOK, lastErr := d.claimFrom(cands, t, true)
 		if placedOK {
 			return
 		}
+		if lastErr == nil {
+			lastErr = rankErr
+		}
 		// No chip can host the job right now. Before parking (or failing),
-		// ask the external path to give capacity back: Place-stage
-		// failures — e.g. the buddy allocator out of memory held by an
-		// idle warm session — never reach the ranking stage's own
-		// reclaim, so this is where idle sessions are evicted for them
+		// ask the external path to give capacity back — whether the rank
+		// named no chip or a Place failed on what a score cannot see, e.g.
+		// the buddy allocator out of memory held by an idle warm session
 		// (lowest class first; see the session pool's eviction order).
 		if d.cfg.Reclaim != nil && d.cfg.Reclaim() {
 			continue
+		}
+		// A release since this attempt began freed capacity the head has
+		// first claim on: rank it again before backfill can take it.
+		select {
+		case <-d.freed:
+			continue
+		default:
 		}
 		// The head keeps its turn but must not idle chips it cannot use:
 		// hand free capacity to the best queued job that fits it.

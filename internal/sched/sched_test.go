@@ -48,7 +48,19 @@ func (e *fakeExec) avail(chip, size int) error {
 	return nil
 }
 
-func (e *fakeExec) Rank(j *fakeJob) ([]Candidate, error) {
+// Rank is always complete: the fake computes nothing, so every chip is
+// answered at once and RankCached sees the same candidates.
+func (e *fakeExec) Rank(j *fakeJob) ([]Candidate, <-chan struct{}, error) {
+	cands, err := e.rank(j)
+	return cands, nil, err
+}
+
+func (e *fakeExec) RankCached(j *fakeJob) []Candidate {
+	cands, _ := e.rank(j)
+	return cands
+}
+
+func (e *fakeExec) rank(j *fakeJob) ([]Candidate, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var cands []Candidate

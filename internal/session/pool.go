@@ -70,7 +70,7 @@ const (
 // Config tunes a Pool.
 type Config[R any] struct {
 	// Destroy tears a session's resource down (destroys the vNPU and
-	// releases its cores from the placement engine's mirror). Required.
+	// returns its cores to the placement engine's free set). Required.
 	Destroy func(chip int, res R) error
 	// Cores reports the resource's core count, for the warm-capacity
 	// gauges (IdleCoresOn). Optional; nil reports 0.
@@ -532,6 +532,26 @@ func (p *Pool[R, Q]) Counts() (idle, busy int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.idleCount, p.busyCount + p.pending
+}
+
+// HeldBelow reports how many of a chip's cores are held by resident
+// sessions (busy or idle) of scheduling class at or below the given one —
+// the residency a job of that class may cannibalize under capacity
+// pressure (eviction takes the lowest class first). Session placement
+// consolidates onto chips with the most such cores, keeping higher-class
+// pools and genuinely free chips intact.
+func (p *Pool[R, Q]) HeldBelow(chip, class int) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, list := range p.byKey {
+		for _, s := range list {
+			if s.chip == chip && s.prio <= class {
+				n += s.cores
+			}
+		}
+	}
+	return n
 }
 
 // IdleCoresOn reports how many of a chip's cores idle warm sessions

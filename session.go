@@ -12,12 +12,13 @@ package vnpu
 // never starve jobs that need fresh rectangles.
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/vnpu-sim/vnpu/internal/metrics"
@@ -136,9 +137,9 @@ type sessRes struct {
 	// class is the session's scheduling class, fixed at create time (the
 	// class of the job whose cold create built it). Eviction — pressure
 	// reclaim and the MaxIdle bound — destroys lower classes first, and
-	// the placement engine's held-core accounting files the session's
-	// cores under it. A later higher-class job leasing the session does
-	// not promote it; its residency was charged to its creator.
+	// the pool's HeldBelow files the session's cores under it. A later
+	// higher-class job leasing the session does not promote it; its
+	// residency was charged to its creator.
 	class int
 }
 
@@ -446,35 +447,31 @@ func (c *Cluster) sessionRun(t *sessTask) {
 // and genuinely free chips stay intact for topologies that need fresh
 // rectangles.
 func (c *Cluster) createSession(req Request, class int) (int, *sessRes, error) {
-	preq := placeRequest(req)
-	cands, err := c.engine.Place(preq)
+	cands, err := c.engine.Place(placeRequest(req))
 	if err != nil {
 		return 0, nil, err
 	}
-	// Snapshot held counts once (HeldBelow takes the engine lock), then
+	// Snapshot held counts once (HeldBelow takes the pool lock), then
 	// re-rank with the consolidation tiebreak as a proper lexicographic
 	// order: cost, price, then most reclaimable session-held cores first.
 	held := make(map[int]int, len(cands))
 	for _, cand := range cands {
-		held[cand.Chip] = c.engine.HeldBelow(cand.Chip, class)
+		held[cand.Chip] = c.pool.HeldBelow(cand.Chip, class)
 	}
-	sort.SliceStable(cands, func(a, b int) bool {
-		if cands[a].Cost != cands[b].Cost {
-			return cands[a].Cost < cands[b].Cost
+	slices.SortStableFunc(cands, func(a, b place.Candidate) int {
+		if d := cmp.Compare(a.Cost, b.Cost); d != 0 {
+			return d
 		}
-		if cands[a].Price != cands[b].Price {
-			return cands[a].Price < cands[b].Price
+		if d := cmp.Compare(a.Price, b.Price); d != 0 {
+			return d
 		}
-		return held[cands[a].Chip] > held[cands[b].Chip]
+		return cmp.Compare(held[b.Chip], held[a.Chip])
 	})
 	var lastErr error
 	for _, cand := range cands {
-		v, err := c.create(cand.Chip, req, class)
+		v, err := c.create(cand.Chip, req)
 		if err == nil {
 			return cand.Chip, &sessRes{v: v, class: class}, nil
-		}
-		if errors.Is(err, errMirrorDrift) {
-			return 0, nil, err
 		}
 		lastErr = err
 	}

@@ -753,3 +753,49 @@ func TestPriorityChurnRace(t *testing.T) {
 		t.Fatalf("per-class accounting leaked: submitted %d, resolved %d (%+v)", sub, done, ss.Classes)
 	}
 }
+
+// TestSessionColdCreateConsolidates pins the cold create's chip tiebreak.
+// Two FPGA chips rank equal for a 2x2 session (edit distance 0, same
+// price) and chip 1 already holds a resident session. A cold create of a
+// higher class lands on chip 1 — residency it may cannibalize under
+// pressure — leaving chip 0 whole; a resident of a higher class than the
+// creating job attracts nothing, and the engine's chip order decides.
+func TestSessionColdCreateConsolidates(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		resident, creator Priority
+		wantChip          int
+	}{
+		{"lower-class resident attracts", PriorityBestEffort, PriorityHigh, 1},
+		{"higher-class resident does not", PriorityHigh, PriorityBestEffort, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newReuseCluster(t, FPGAConfig(), 2)
+			defer c.Close()
+			gate := make(chan struct{})
+			c.testExecHook = func(chip int) {
+				if chip == 0 {
+					<-gate
+				}
+			}
+			// A whole-chip one-shot held on chip 0 sends the resident to chip 1.
+			filler, err := c.Submit(context.Background(), fullChipJob(t, "filler"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-filler.Started()
+			resident := Job{Tenant: "r", Model: mustModel(t, "alexnet"), Topology: Mesh(2, 2), Reusable: true, Priority: tc.resident}
+			if rep := submitWait(t, c, resident); rep.Chip != 1 {
+				t.Fatalf("resident session landed on chip %d, want 1 (chip 0 is full)", rep.Chip)
+			}
+			close(gate)
+			if _, err := filler.Wait(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			creator := Job{Tenant: "c", Model: mustModel(t, "alexnet"), Topology: Mesh(2, 2), Reusable: true, Priority: tc.creator}
+			if rep := submitWait(t, c, creator); rep.Chip != tc.wantChip || rep.Warm {
+				t.Fatalf("cold create landed on chip %d (warm=%v), want a cold create on chip %d", rep.Chip, rep.Warm, tc.wantChip)
+			}
+		})
+	}
+}
