@@ -116,9 +116,6 @@ type Cluster struct {
 	// timing is the cluster-wide timing backend (nil = analytic default);
 	// every chip's System routes RunCompiled through it. See timing.go.
 	timing TimingBackend
-	// chipSlots echoes the per-chip execution-slot bound; execSaturated
-	// compares in-flight executions against it.
-	chipSlots int
 
 	// progMu guards progs, the compiled-program cache keyed by (model
 	// fingerprint, core count, weight zone): admission sizing compiles a
@@ -354,10 +351,6 @@ func NewCluster(cfg Config, chips int, opts ...ClusterOption) (*Cluster, error) 
 	}
 	c.engine = engine
 	c.timing = cc.timing
-	// Chip-saturation probe for the mapper pool's adaptive sizing: when
-	// every chip's execution slots are full, mapping faster cannot start
-	// jobs sooner, so the pool declines growth and sheds workers.
-	engine.SetSaturationProbe(c.execSaturated)
 	c.queueDepth = cc.queueDepth
 	if c.queueDepth <= 0 {
 		c.queueDepth = DefaultQueueDepth
@@ -367,7 +360,6 @@ func NewCluster(cfg Config, chips int, opts ...ClusterOption) (*Cluster, error) 
 	if slots <= 0 {
 		slots = DefaultChipSlots
 	}
-	c.chipSlots = slots
 	disp, err := sched.New[Job, *VirtualNPU, JobReport](
 		(*clusterExec)(c),
 		sched.Config{
@@ -425,22 +417,6 @@ func NewCluster(cfg Config, chips int, opts ...ClusterOption) (*Cluster, error) 
 		c.pool = pool
 	}
 	return c, nil
-}
-
-// execSaturated reports that every chip's execution slots are full — the
-// signal that chip workers, not mapping, bound throughput right now. The
-// mapper pool's growth consults it (see place.Engine.SetSaturationProbe):
-// with all slots busy, a job whose mapping resolves sooner still waits
-// for a slot, while an extra mapper goroutine competes with the
-// simulator for CPU. Reads per-chip in-flight counters only; never
-// takes locks (it runs under the engine mutex).
-func (c *Cluster) execSaturated() bool {
-	for i := range c.curJobs {
-		if c.curJobs[i].Load() < int64(c.chipSlots) {
-			return false
-		}
-	}
-	return true
 }
 
 // chipCap is one chip's admission-relevant limits.

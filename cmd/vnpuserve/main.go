@@ -374,9 +374,6 @@ type summary struct {
 	ExecOverlapAvg     float64 `json:"exec_overlap_avg"`
 	ChipConcurrencyP99 float64 `json:"chip_concurrency_p99"`
 
-	// How often the negative-result TTL short-circuited a doomed mapping.
-	NegHits uint64 `json:"negative_ttl_hits"`
-
 	// Timing-backend facts: which backend timed executions, how its memo
 	// performed, and the microbenchmarked fast-vs-analytic speedup of one
 	// warm grounded service call (0 under the analytic backend, where no
@@ -451,6 +448,31 @@ func drawPriority(rng *rand.Rand) vnpu.Priority {
 }
 
 func priorityName(p vnpu.Priority) string { return p.String() }
+
+// buildJob draws one trace job from the seeded RNG — its workload, its
+// tenant and, under -priomix, its class, with the -deadline SLO attached
+// to high and critical jobs — and returns the mix entry it drew. Both
+// submit loops (single cluster and -shards) build their jobs here.
+func buildJob(rng *rand.Rand, mixes []workloadMix, rc runConfig) (vnpu.Job, workloadMix) {
+	mx := mixes[rng.Intn(len(mixes))]
+	job := vnpu.Job{
+		Tenant:     fmt.Sprintf("tenant-%02d", rng.Intn(rc.tenants)),
+		Model:      mx.model,
+		Iterations: rc.iters,
+		Topology:   mx.topo,
+		Reusable:   rc.reuse,
+	}
+	if rc.confine {
+		job.Options = []vnpu.Option{vnpu.WithConfinement(true)}
+	}
+	if rc.priomix {
+		job.Priority = drawPriority(rng)
+		if rc.deadline > 0 && job.Priority >= vnpu.PriorityHigh {
+			job.Deadline = time.Now().Add(rc.deadline)
+		}
+	}
+	return job, mx
+}
 
 func run(rc runConfig) error {
 	cfg, err := chipConfig(rc.chipName)
@@ -535,10 +557,6 @@ func run(rc runConfig) error {
 	if err != nil {
 		return err
 	}
-	var jobOpts []vnpu.Option
-	if rc.confine {
-		jobOpts = append(jobOpts, vnpu.WithConfinement(true))
-	}
 
 	fmt.Printf("vnpuserve: %d chips (%s), %d jobs, %d tenants, rate %.0f jobs/s, quota %d, seed %d",
 		cluster.Chips(), kind, rc.jobs, rc.tenants, rc.rate, rc.quota, rc.seed)
@@ -565,21 +583,7 @@ func run(rc runConfig) error {
 		if rc.rate > 0 && i > 0 {
 			time.Sleep(time.Duration(rng.ExpFloat64() / rc.rate * float64(time.Second)))
 		}
-		mx := mixes[rng.Intn(len(mixes))]
-		job := vnpu.Job{
-			Tenant:     fmt.Sprintf("tenant-%02d", rng.Intn(rc.tenants)),
-			Model:      mx.model,
-			Iterations: rc.iters,
-			Topology:   mx.topo,
-			Options:    jobOpts,
-			Reusable:   rc.reuse,
-		}
-		if rc.priomix {
-			job.Priority = drawPriority(rng)
-			if rc.deadline > 0 && job.Priority >= vnpu.PriorityHigh {
-				job.Deadline = time.Now().Add(rc.deadline)
-			}
-		}
+		job, mx := buildJob(rng, mixes, rc)
 		h, err := cluster.Submit(ctx, job)
 		switch {
 		case err == nil:
@@ -684,9 +688,9 @@ func run(rc runConfig) error {
 	fmt.Printf("placement:     %d decisions, avg %s   cache %.1f%% hit (%d hit / %d miss, %d evicted)\n",
 		ps.Placements, ps.AvgPlaceTime().Round(time.Microsecond),
 		ps.HitRate()*100, ps.CacheHits, ps.CacheMisses, ps.CacheEvictions)
-	fmt.Printf("mapper:        miss avg %s   %d async, %d hits-first starts, %d map-parks   %d negative-TTL hits, %d pool-growth vetoes\n",
+	fmt.Printf("mapper:        miss avg %s   %d async, %d hits-first starts, %d map-parks\n",
 		ps.AvgMapTime().Round(time.Microsecond), ps.AsyncMaps,
-		stats.HitsFirst, stats.MapParked, ps.NegHits, ps.MapGrowVetoed)
+		stats.HitsFirst, stats.MapParked)
 	ts := cluster.TimingStats()
 	var speedup float64
 	if rc.timing == "fast" {
@@ -772,8 +776,6 @@ func run(rc runConfig) error {
 
 			ExecOverlapAvg:     stats.ExecOverlapAvg,
 			ChipConcurrencyP99: stats.ChipConcurrencyP99,
-
-			NegHits: ps.NegHits,
 
 			TimingBackend: ts.Backend,
 			MemoHitRate:   ts.HitRate(),
@@ -1158,10 +1160,6 @@ func runFleet(rc runConfig) error {
 	if err != nil {
 		return err
 	}
-	var jobOpts []vnpu.Option
-	if rc.confine {
-		jobOpts = append(jobOpts, vnpu.WithConfinement(true))
-	}
 	drain := rc.drainShard
 	if drain >= rc.shards {
 		drain = -1
@@ -1178,7 +1176,7 @@ func runFleet(rc runConfig) error {
 	start := time.Now()
 	handles := make([]*vnpu.FleetHandle, 0, rc.jobs)
 	perShardSubmits := make([]int, rc.shards)
-	var refused int
+	var refused, missed int
 	for i := 0; i < rc.jobs; i++ {
 		if rc.interrupted(i) {
 			break
@@ -1198,20 +1196,13 @@ func runFleet(rc runConfig) error {
 			}
 			fmt.Printf("-- rejoined shard %d at job %d\n", drain, i)
 		}
-		mx := mixes[rng.Intn(len(mixes))]
-		job := vnpu.Job{
-			Tenant:     fmt.Sprintf("tenant-%02d", rng.Intn(rc.tenants)),
-			Model:      mx.model,
-			Iterations: rc.iters,
-			Topology:   mx.topo,
-			Options:    jobOpts,
-			Reusable:   rc.reuse,
-		}
-		if rc.priomix {
-			job.Priority = drawPriority(rng)
-		}
+		job, _ := buildJob(rng, mixes, rc)
 		h, err := f.Submit(ctx, job)
 		if err != nil {
+			if errors.Is(err, vnpu.ErrDeadlineExceeded) {
+				missed++
+				continue
+			}
 			if errors.Is(err, vnpu.ErrQueueFull) || errors.Is(err, vnpu.ErrQuotaExceeded) ||
 				errors.Is(err, vnpu.ErrNoActiveShards) {
 				refused++
@@ -1227,7 +1218,11 @@ func runFleet(rc runConfig) error {
 	var failed int
 	for i, h := range handles {
 		if _, err := h.Wait(ctx); err != nil {
-			failed++
+			if errors.Is(err, vnpu.ErrDeadlineExceeded) {
+				missed++
+			} else {
+				failed++
+			}
 			if rc.verbose {
 				fmt.Fprintf(os.Stderr, "job %d failed: %v\n", i, err)
 			}
@@ -1238,8 +1233,8 @@ func runFleet(rc runConfig) error {
 	wall := time.Since(start)
 
 	fs := f.Stats()
-	fmt.Printf("\ncompleted %d jobs (%d failed typed, %d refused typed, 0 lost) in %s\n",
-		len(waits), failed, refused, wall.Round(time.Millisecond))
+	fmt.Printf("\ncompleted %d jobs (%d failed typed, %d deadline-missed, %d refused typed, 0 lost) in %s\n",
+		len(waits), failed, missed, refused, wall.Round(time.Millisecond))
 	if wall > 0 {
 		fmt.Printf("throughput:    %.1f jobs/s\n", float64(len(waits))/wall.Seconds())
 	}
@@ -1303,7 +1298,7 @@ func runFleet(rc runConfig) error {
 			Seed:          rc.seed,
 			WallMillis:    wall.Milliseconds(),
 			Completed:     len(waits),
-			Rejected:      failed + refused,
+			Rejected:      failed + missed + refused,
 			ReHomed:       int(fs.ReHomed),
 			Steals:        int(fs.Steals),
 			DrainShard:    drain,

@@ -3,11 +3,15 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/vnpu-sim/vnpu"
 )
 
 // serve parses args as the command line would, runs the serving mode
@@ -100,4 +104,51 @@ func TestServeSmoke(t *testing.T) {
 		wantNumber(t, sum, "completed", 200)
 		wantNumber(t, sum, "rejected", 0)
 	})
+}
+
+var deadlineMissed = regexp.MustCompile(`(\d+) deadline-missed`)
+
+// TestPriomixDeadlineInBothModes: under -priomix -deadline every high and
+// critical job carries the deadline, in the single-cluster and the -shards
+// submit loop alike. A 1ns deadline has passed before any of them can
+// run, so the report counts exactly the high and critical jobs the seeded
+// trace draws as deadline-missed.
+func TestPriomixDeadlineInBothModes(t *testing.T) {
+	for _, mode := range [][]string{{"-chips", "2"}, {"-shards", "2", "-chips", "1"}} {
+		args := append(mode, "-jobs", "24", "-rate", "0", "-priomix", "-deadline", "1ns")
+		rc, err := parseFlags(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := chipConfig(rc.chipName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mixes, err := buildMix(cfg.Cores())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(rc.seed))
+		want := 0
+		for i := 0; i < rc.jobs; i++ {
+			job, _ := buildJob(rng, mixes, rc)
+			if high := job.Priority >= vnpu.PriorityHigh; high != !job.Deadline.IsZero() {
+				t.Fatalf("job %d: priority %v, deadline %v", i, job.Priority, job.Deadline)
+			}
+			if !job.Deadline.IsZero() {
+				want++
+			}
+		}
+		if want == 0 {
+			t.Fatalf("seed %d draws no high or critical job in %d", rc.seed, rc.jobs)
+		}
+		out, _ := serve(t, args...)
+		m := deadlineMissed.FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("vnpuserve %v: report has no deadline-missed count:\n%s", args, out)
+		}
+		if got, _ := strconv.Atoi(m[1]); got != want {
+			t.Errorf("vnpuserve %v: %d deadline-missed, want %d (every high and critical job)", args, got, want)
+		}
+	}
 }

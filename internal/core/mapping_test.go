@@ -30,6 +30,52 @@ func TestMapTopologyExactMatchOnEmptyMesh(t *testing.T) {
 	}
 }
 
+// fragmentedFree returns the free nodes of a rows x cols mesh with a
+// deterministic scatter of allocated cores (every stride-th node taken),
+// the shape a busy serving chip presents to the mapper.
+func fragmentedFree(rows, cols, stride int) []topo.NodeID {
+	var free []topo.NodeID
+	for id := 0; id < rows*cols; id++ {
+		if id%stride != 0 {
+			free = append(free, topo.NodeID(id))
+		}
+	}
+	return free
+}
+
+// TestMapTopologyDCRAMisses maps the placement-cache miss shapes of a
+// 16x16 mesh (the paper's DCRA-scale chip): on the empty mesh an exact
+// rectangle or chain exists and must be found at cost 0; on the
+// fragmented free sets no exact fit is required, but a mapping must be.
+func TestMapTopologyDCRAMisses(t *testing.T) {
+	phys := topo.Mesh2D(16, 16)
+	cases := []struct {
+		name  string
+		free  []topo.NodeID
+		req   *topo.Graph
+		exact bool
+	}{
+		{"empty/4x4", phys.Nodes(), topo.Mesh2D(4, 4), true},
+		{"empty/3x4", phys.Nodes(), topo.Mesh2D(3, 4), true},
+		{"empty/1x8", phys.Nodes(), topo.Chain(8), true},
+		{"fragmented/3x4", fragmentedFree(16, 16, 5), topo.Mesh2D(3, 4), false},
+		{"fragmented/4x4", fragmentedFree(16, 16, 7), topo.Mesh2D(4, 4), false},
+		{"fragmented/2x3", fragmentedFree(16, 16, 3), topo.Mesh2D(2, 3), false},
+	}
+	for _, c := range cases {
+		res, err := MapTopology(phys, c.free, c.req, StrategySimilar, ged.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(res.Nodes) != c.req.NumNodes() {
+			t.Fatalf("%s: mapped %d nodes, want %d", c.name, len(res.Nodes), c.req.NumNodes())
+		}
+		if c.exact && res.Cost != 0 {
+			t.Errorf("%s: cost %v, want an exact fit (0)", c.name, res.Cost)
+		}
+	}
+}
+
 // The paper's topology lock-in example (§4.3): two 3x3 requests on a 5x5
 // mesh. Exact mapping can serve only one; similar mapping serves both.
 func TestTopologyLockInScenario(t *testing.T) {

@@ -31,20 +31,6 @@ type PlacementStats struct {
 	// AsyncMaps counts mapping computations scheduled on the async mapper
 	// workers for a dispatch-path miss (a Rank that parks its job).
 	AsyncMaps uint64
-	// NegHits counts per-chip mapping failures served from the engine's
-	// negative-result memo across free-set churn — each one a mapper run
-	// (and likely a map-park) the TTL coalesced away.
-	NegHits uint64
-	// MapWorkers is the mapper worker-pool size at snapshot time. The
-	// pool sizes itself to demand between one resident worker and the
-	// configured bound, so this gauge shows how much mapping concurrency
-	// the traffic actually provoked.
-	MapWorkers int
-	// MapGrowVetoed counts pool-growth opportunities declined because the
-	// saturation probe reported the chip execution slots — not mapping —
-	// as the bottleneck: spawning another mapper there would steal CPU
-	// from the simulator without improving time-to-start.
-	MapGrowVetoed uint64
 }
 
 // HitRate reports the fraction of mapping resolutions served from the

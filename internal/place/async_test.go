@@ -209,50 +209,3 @@ func TestEngineMapAsyncChurnRace(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestSaturationVetoesMapperGrowth pins the shrink-on-saturation
-// satellite: while the saturation probe reports every chip execution
-// slot busy, the adaptive mapper pool declines to grow past its
-// resident worker — a mapping backlog cannot delay job starts when no
-// slot could run them — and counts each declined growth.
-func TestSaturationVetoesMapperGrowth(t *testing.T) {
-	e := newEngine(t, []place.Chip{simChip()}, place.WithWorkers(8))
-	defer e.Close()
-	e.SetSaturationProbe(func() bool { return true })
-
-	// A near-chip-sized mapping pins the resident worker, so the distinct
-	// small topologies behind it keep the queue non-empty and every
-	// submission attempts (and is denied) growth.
-	e.Rank(place.Request{Topology: topo.Mesh2D(5, 6)})
-	for i := 2; i < 12; i++ {
-		e.Rank(place.Request{Topology: topo.Chain(i)})
-	}
-	if got := e.Stats().MapGrowVetoed; got == 0 {
-		t.Fatalf("no growth veto recorded: stats %+v", e.Stats())
-	}
-	if got := e.Stats().MapWorkers; got != 1 {
-		t.Fatalf("pool grew to %d workers under saturation, want 1", got)
-	}
-}
-
-// TestSaturationClearedAllowsGrowth is the counterpart: with the probe
-// reporting free slots, backlog-driven growth proceeds as before.
-func TestSaturationClearedAllowsGrowth(t *testing.T) {
-	e := newEngine(t, []place.Chip{simChip()}, place.WithWorkers(8))
-	defer e.Close()
-	e.SetSaturationProbe(func() bool { return false })
-
-	// Growth happens synchronously inside the submission that observes a
-	// backlog, so the pool is visibly grown right after the batch (the
-	// extra workers retire only once the queue drains).
-	e.Rank(place.Request{Topology: topo.Mesh2D(5, 6)})
-	for i := 2; i < 12; i++ {
-		e.Rank(place.Request{Topology: topo.Chain(i)})
-	}
-	if got := e.Stats().MapWorkers; got <= 1 {
-		t.Fatalf("pool did not grow: stats %+v", e.Stats())
-	}
-	if got := e.Stats().MapGrowVetoed; got != 0 {
-		t.Fatalf("unsaturated growth recorded %d vetoes", got)
-	}
-}

@@ -7,11 +7,9 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/vnpu-sim/vnpu/internal/core"
 	"github.com/vnpu-sim/vnpu/internal/npu"
-	"github.com/vnpu-sim/vnpu/internal/sim"
 	"github.com/vnpu-sim/vnpu/internal/topo"
 )
 
@@ -175,10 +173,7 @@ func FuzzEngineDeltas(f *testing.F) {
 	reqPool := []*topo.Graph{topo.Mesh2D(1, 2), topo.Mesh2D(2, 2), topo.Mesh2D(2, 3), topo.Mesh2D(3, 3), topo.Chain(3), topo.Chain(4)}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		chips := func() []Chip { return []Chip{meshChip(4, 4), meshChip(6, 6, 7, 14, 15, 28)} }
-		// A clock that never advances: the negative memo then expires by
-		// releases and capacity only, so an answered chip cannot turn into
-		// a miss while a rank waits on its edge.
-		cached, err := New(chips(), WithClock(sim.NewVirtualClock(time.Unix(0, 0))))
+		cached, err := New(chips())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,6 @@ import (
 	"hash/fnv"
 	"slices"
 	"sync"
-	"time"
 
 	"github.com/vnpu-sim/vnpu/internal/core"
 	"github.com/vnpu-sim/vnpu/internal/ged"
@@ -104,38 +103,6 @@ type chipState struct {
 	free      map[topo.NodeID]bool
 	freeCount int
 	freeSig   uint64 // XOR of nodeHash over free nodes, updated per delta
-	// neg memoizes mapping failures per topology across free-set churn
-	// (see negGetLocked); relGen counts releases on the chip, guarding
-	// negative write-backs against a release that raced the computation.
-	neg    map[negKey]negEntry
-	relGen uint64
-}
-
-// negKey identifies a memoized mapping failure on one chip: the topology
-// and the mapping knobs, deliberately WITHOUT the free-set signature —
-// the whole point is to keep refusing an unsatisfiable shape while
-// commits elsewhere on the chip churn the signature.
-type negKey struct {
-	topoSig    string
-	strat      core.Strategy
-	nodeInsDel float64
-}
-
-// negKey is the request's negative-memo key under its topology encoding.
-func (r Request) negKey(sig string) negKey {
-	return negKey{topoSig: sig, strat: r.Strategy, nodeInsDel: r.MapOptions.NodeInsDel}
-}
-
-// negEntry is one memoized mapping failure. It may be served while the
-// TTL has not expired AND the chip's free capacity has not grown past
-// what the failure was computed against: commits only shrink the free
-// set (a mapping that fails on a set fails on every subset), and any
-// release clears the chip's table, so a live entry always refers to a
-// subset of the free set it was computed on.
-type negEntry struct {
-	until     time.Time
-	freeCount int
-	err       error
 }
 
 func (cs *chipState) freeListLocked() []topo.NodeID {
@@ -229,42 +196,28 @@ type asyncFlight struct {
 // DefaultCacheSize bounds the mapping cache when no option overrides it.
 const DefaultCacheSize = 4096
 
-// DefaultWorkers sizes the async mapper worker pool when no option
-// overrides it.
+// DefaultWorkers sizes the mapper worker pool when no option overrides it.
 const DefaultWorkers = 4
-
-// DefaultNegativeTTL is how long a mapping failure is refused from memory
-// (see WithNegativeTTL) when no option overrides it. A couple of
-// milliseconds covers the burst of re-ranks a parked job suffers while
-// the free sets around it churn, without outliving real capacity shifts.
-const DefaultNegativeTTL = 2 * time.Millisecond
 
 // Engine owns placement decisions for a set of chips. Create one with New;
 // all methods are safe for concurrent use.
 type Engine struct {
 	chips []*chipState
 
-	// tasks feeds the bounded mapper worker pool: cache misses — whether
-	// from a blocking Place or a Rank fan-out — run here, so
-	// mapping concurrency is bounded by the worker count instead of one
-	// goroutine per (caller, chip). When the queue is full, callers
-	// overflow onto their own goroutines (progress over strict bounds).
-	//
-	// The pool sizes itself to demand between one resident worker and the
-	// WithWorkers bound: every enqueue that leaves a backlog spawns a
-	// worker (growLocked), and a worker that drains the queue retires, so
-	// idle clusters do not keep mapper goroutines parked while mapping
-	// bursts still fan out. PlacementStats.MapWorkers reports the size.
+	// tasks feeds the mapper worker pool — WithWorkers resident goroutines
+	// from New to Close: cache misses, whether from a blocking Place or a
+	// Rank fan-out, run here, so mapping concurrency is bounded by the
+	// worker count instead of one goroutine per (caller, chip). When the
+	// queue is full, callers overflow onto their own goroutines (progress
+	// over strict bounds).
 	tasks     chan func()
 	quit      chan struct{}
 	workerWG  sync.WaitGroup
 	closeOnce sync.Once
 
-	// clk supplies every engine timestamp: latency stats and the
-	// negative-result TTL. Wall clock unless WithClock injected another.
+	// clk supplies the latency stats' timestamps. Wall clock unless
+	// WithClock injected another.
 	clk sim.Clock
-	// negTTL is the negative-result memoization window; <= 0 disables it.
-	negTTL time.Duration
 
 	mu        sync.Mutex
 	cache     *mapCache // nil when caching is disabled
@@ -273,17 +226,7 @@ type Engine struct {
 	stats     metrics.PlacementStats
 	cacheSize int
 	workers   int
-	active    int // mapper workers currently running (1..workers)
 	closed    bool
-
-	// saturated, when set (SetSaturationProbe), reports that the chip
-	// execution slots — not mapping — are the current bottleneck. The
-	// adaptive pool then stops growing and lets non-resident workers
-	// retire early: a deeper mapper backlog cannot delay job starts when
-	// every execution slot is already busy, while extra mapper goroutines
-	// do steal CPU from the simulator. Read under e.mu; the probe must
-	// not call back into the engine.
-	saturated func() bool
 }
 
 // Option tunes the engine.
@@ -296,37 +239,24 @@ func WithCacheSize(n int) Option {
 	return func(e *Engine) { e.cacheSize = n }
 }
 
-// WithWorkers sizes the async mapper worker pool (default DefaultWorkers;
-// n <= 0 selects the default). More workers let more distinct (chip,
-// topology) misses compute concurrently; the pool never runs more than n
-// mapper computations at once on behalf of async callers.
+// WithWorkers sizes the mapper worker pool: n resident goroutines from New
+// to Close (default DefaultWorkers; n <= 0 selects the default). More
+// workers let more distinct (chip, topology) misses compute concurrently;
+// the pool runs at most n mapper computations at once, and a miss that
+// finds its queue full runs on a goroutine of its own.
 func WithWorkers(n int) Option {
 	return func(e *Engine) { e.workers = n }
 }
 
-// WithClock injects the clock the engine's latency stats and
-// negative-result TTL read (default: the wall clock). Inject a virtual
-// clock to drive the engine in simulated time.
+// WithClock injects the clock the engine's latency stats read (default:
+// the wall clock). Inject a virtual clock to drive the engine in simulated
+// time.
 func WithClock(clk sim.Clock) Option {
 	return func(e *Engine) {
 		if clk != nil {
 			e.clk = clk
 		}
 	}
-}
-
-// WithNegativeTTL sets how long a capacity-class mapping failure
-// (ErrTopologyUnsatisfiable, ErrNoCapacity) is refused from memory
-// instead of re-running the mapper (default DefaultNegativeTTL; d <= 0
-// disables negative memoization). The memo is keyed by topology alone —
-// not the free-set signature — so a job whose free sets keep shifting
-// under foreign commits coalesces its repeated map-parks into one mapper
-// run per TTL. It is served only while the chip's free capacity has not
-// grown since the failure, and any release or session eviction on the
-// chip drops its memoized failures immediately, so a curable failure is
-// never refused stale.
-func WithNegativeTTL(d time.Duration) Option {
-	return func(e *Engine) { e.negTTL = d }
 }
 
 // New builds an engine over the given chips.
@@ -339,7 +269,6 @@ func New(chips []Chip, opts ...Option) (*Engine, error) {
 		async:     make(map[asyncKey]*asyncFlight),
 		cacheSize: DefaultCacheSize,
 		workers:   DefaultWorkers,
-		negTTL:    DefaultNegativeTTL,
 		clk:       sim.Wall(),
 		quit:      make(chan struct{}),
 	}
@@ -380,69 +309,26 @@ func New(chips []Chip, opts ...Option) (*Engine, error) {
 		}
 		e.chips = append(e.chips, cs)
 	}
-	// Start one resident worker only once every chip validated, so an
-	// error return leaks no goroutines; the pool grows toward e.workers
-	// on demand (see growLocked).
-	e.active = 1
-	e.workerWG.Add(1)
-	go e.worker(true)
+	// Start the workers only once every chip validated, so an error
+	// return leaks no goroutines.
+	e.workerWG.Add(e.workers)
+	for i := 0; i < e.workers; i++ {
+		go e.worker()
+	}
 	return e, nil
 }
 
-// SetSaturationProbe installs the chip-saturation signal the adaptive
-// pool consults (see the saturated field). Install before serving
-// traffic. A nil probe restores pure backlog-driven sizing.
-func (e *Engine) SetSaturationProbe(fn func() bool) {
-	e.mu.Lock()
-	e.saturated = fn
-	e.mu.Unlock()
-}
-
-// worker drains mapper tasks. The resident worker lives until Close; an
-// adaptively spawned one retires as soon as it finds the queue empty —
-// or the saturation probe reports chip workers as the bottleneck, so
-// the pool sheds mapper CPU back to the simulator even while a backlog
-// remains (the backlog cannot delay job starts when every execution
-// slot is busy; the resident worker keeps draining it).
-func (e *Engine) worker(resident bool) {
+// worker drains mapper tasks until Close.
+func (e *Engine) worker() {
 	defer e.workerWG.Done()
 	for {
 		select {
 		case fn := <-e.tasks:
 			fn()
-			if resident {
-				continue
-			}
-			e.mu.Lock()
-			if e.active > 1 && (len(e.tasks) == 0 || (e.saturated != nil && e.saturated())) {
-				e.active--
-				e.mu.Unlock()
-				return
-			}
-			e.mu.Unlock()
 		case <-e.quit:
 			return
 		}
 	}
-}
-
-// growLocked spawns a worker when accepted work is backing up and the
-// pool is below its bound — unless the saturation probe reports the
-// chip execution slots as the bottleneck, in which case growth is
-// declined (MapGrowVetoed counts the declines). Caller holds the engine
-// mutex; the closed check keeps the workerWG.Add ordered before Close's
-// Wait.
-func (e *Engine) growLocked() {
-	if e.closed || e.active >= e.workers || len(e.tasks) == 0 {
-		return
-	}
-	if e.saturated != nil && e.saturated() {
-		e.stats.MapGrowVetoed++
-		return
-	}
-	e.active++
-	e.workerWG.Add(1)
-	go e.worker(false)
 }
 
 // Close stops the mapper worker pool. Callers must not have placements
@@ -482,7 +368,6 @@ func (e *Engine) submitLocked(fn func()) bool {
 	}
 	select {
 	case e.tasks <- fn:
-		e.growLocked()
 		return true
 	default:
 		return false
@@ -494,44 +379,6 @@ func (e *Engine) trySubmit(fn func()) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.submitLocked(fn)
-}
-
-// negGetLocked returns the chip's live memoized mapping failure for the
-// key, if any: within its TTL and with the chip's free capacity no larger
-// than the failure was computed against. Dead entries are dropped on the
-// way. Caller holds the engine mutex.
-func (e *Engine) negGetLocked(cs *chipState, key negKey) (error, bool) {
-	if e.negTTL <= 0 || cs.neg == nil {
-		return nil, false
-	}
-	ent, ok := cs.neg[key]
-	if !ok {
-		return nil, false
-	}
-	if e.clk.Now().After(ent.until) || cs.freeCount > ent.freeCount {
-		delete(cs.neg, key)
-		return nil, false
-	}
-	return ent.err, true
-}
-
-// negPutLocked memoizes a capacity-class mapping failure computed against
-// a free-set snapshot taken at (snapCount, snapGen). The entry is dropped
-// on the floor when a release raced the computation (the failure may
-// already be curable) or when the error is not capacity-class (malformed
-// requests and memory exclusions have their own, cheaper paths). Caller
-// holds the engine mutex.
-func (e *Engine) negPutLocked(cs *chipState, key negKey, snapCount int, snapGen uint64, err error) {
-	if e.negTTL <= 0 || err == nil || cs.relGen != snapGen {
-		return
-	}
-	if !errors.Is(err, core.ErrTopologyUnsatisfiable) && !errors.Is(err, core.ErrNoCapacity) {
-		return
-	}
-	if cs.neg == nil {
-		cs.neg = make(map[negKey]negEntry)
-	}
-	cs.neg[key] = negEntry{until: e.clk.Now().Add(e.negTTL), freeCount: snapCount, err: err}
 }
 
 // Chips reports the number of chips the engine places over.
@@ -552,7 +399,6 @@ func (e *Engine) Stats() metrics.PlacementStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := e.stats
-	s.MapWorkers = e.active
 	if e.cache != nil {
 		s.CacheSize = e.cache.len()
 	}
@@ -563,8 +409,8 @@ func (e *Engine) Stats() metrics.PlacementStats {
 // answered in one scan under one hold of the engine mutex and never by
 // running the mapper on the caller:
 //
-//   - Every adequate chip is answered — by a cached mapping, a memoized
-//     failure or the memory filter: the complete rank, best first as Place
+//   - Every adequate chip is answered — by a cache entry (a mapping or a
+//     failure) or the memory filter: the complete rank, best first as Place
 //     orders it; when it is empty, err is the last chip's refusal.
 //   - Else, cached exact fits (edit distance 0) exist: those alone. Costs
 //     are non-negative, so no chip still to be mapped can beat them, and
@@ -574,8 +420,8 @@ func (e *Engine) Stats() metrics.PlacementStats {
 //     any — and pending is returned with no candidates: it closes when the
 //     last one has landed in the cache, and the caller ranks again.
 //
-// A served rank books one Placements tick and a CacheHits or NegHits tick
-// per chip answered; a parked one books only AsyncMaps. An uncacheable
+// A served rank books one Placements tick and a CacheHits tick per chip
+// answered; a parked one books only AsyncMaps. An uncacheable
 // request, or a cacheless engine, has nowhere for an async mapping to
 // land: it ranks blocking, as Place.
 func (e *Engine) Rank(req Request) (cands []Candidate, pending <-chan struct{}, err error) {
@@ -594,7 +440,6 @@ func (e *Engine) Rank(req Request) (cands []Candidate, pending <-chan struct{}, 
 	}
 	e.stats.Placements++
 	e.stats.CacheHits += sc.hits
-	e.stats.NegHits += sc.negs
 	e.stats.PlaceTime += e.clk.Since(start)
 	e.mu.Unlock()
 	if cands = e.candidates(req, sc, len(sc.misses) > 0); len(cands) == 0 {
@@ -631,8 +476,8 @@ func (e *Engine) mapAsyncLocked(req Request, sig string, misses []int) <-chan st
 				close(f.done)
 			}
 		}
-		// A dispatch-path miss must make progress even when the pool is
-		// saturated; overflow onto a dedicated goroutine (bounded by the
+		// A dispatch-path miss must make progress even when the task queue
+		// is full; overflow onto a dedicated goroutine (bounded by the
 		// async dedup map — one fan-out per distinct request).
 		if !e.submitLocked(task) {
 			go task()
@@ -683,11 +528,10 @@ func (e *Engine) Place(req Request) ([]Candidate, error) {
 	e.mu.Lock()
 	sc := e.scanLocked(req, sig)
 	e.stats.CacheHits += sc.hits
-	e.stats.NegHits += sc.negs
 	e.mu.Unlock()
 	// Misses fan out through the bounded mapper worker pool — the same
 	// workers Rank schedules on — overflowing onto caller-owned goroutines
-	// when the pool is saturated, so a blocking rank can never deadlock
+	// when the task queue is full, so a blocking rank can never deadlock
 	// behind its own queue.
 	var wg sync.WaitGroup
 	for _, i := range sc.misses {
@@ -737,15 +581,15 @@ type chipAnswer uint8
 const (
 	chipExcluded chipAnswer = iota // the chip's memory pool cannot hold the request
 	chipResult                     // ent is a cached mapping whose nodes are still free
-	chipError                      // err is memoized: by cache entry ent, or (ent nil) the negative memo
+	chipError                      // err is the failure cached in ent
 	chipMiss                       // the mapper must run
 )
 
-// classifyLocked answers one chip for the request from the cache and the
-// negative memo under the chip's current free set, booking nothing — the
-// one place Rank, PlaceCached, Place and Claim learn whether a chip's
-// mapping is known. Uncacheable requests and cacheless engines miss on
-// every adequate chip. A stale or colliding cache entry (key match, nodes
+// classifyLocked answers one chip for the request from the cache under
+// the chip's current free set, booking nothing — the one place Rank,
+// PlaceCached, Place and Claim learn whether a chip's mapping is known.
+// Uncacheable requests and cacheless engines miss on every adequate
+// chip. A stale or colliding cache entry (key match, nodes
 // no longer free) is never handed out: it is a miss, and the recomputed
 // mapping overwrites it. key is the cache key looked up (zero when
 // nothing is cacheable). Caller holds the engine mutex.
@@ -765,12 +609,6 @@ func (e *Engine) classifyLocked(cs *chipState, req Request, sig string) (a chipA
 			return chipResult, ent, key, nil
 		}
 	}
-	// A failure memoized across free-set churn answers without a mapper
-	// run — the free-set signature moved, but the chip has no more
-	// capacity than when the topology last refused to map.
-	if err, ok := e.negGetLocked(cs, req.negKey(sig)); ok {
-		return chipError, nil, key, err
-	}
 	return chipMiss, nil, key, nil
 }
 
@@ -785,10 +623,9 @@ var (
 // scan is what scanLocked learned about every chip for one request.
 type scan struct {
 	costs  []float64 // per chip, the mapping's cost where errs is nil
-	errs   []error   // per chip: nil, a memoized failure, or a marker above
+	errs   []error   // per chip: nil, a cached failure, or a marker above
 	misses []int     // chips the mapper must run for
 	hits   uint64    // chips answered by a cache entry
-	negs   uint64    // chips answered by the negative memo
 	exact  bool      // some cached mapping has edit distance 0
 }
 
@@ -806,11 +643,7 @@ func (e *Engine) scanLocked(req Request, sig string) scan {
 			sc.costs[i] = ent.cost
 			sc.exact = sc.exact || ent.cost == 0
 		case chipError:
-			if ent != nil {
-				sc.hits++
-			} else {
-				sc.negs++
-			}
+			sc.hits++
 			sc.errs[i] = err
 		case chipMiss:
 			sc.misses = append(sc.misses, i)
@@ -877,8 +710,8 @@ func (e *Engine) keyLocked(cs *chipState, req Request, sig string) cacheKey {
 	}
 }
 
-// resolve answers the request on one chip: from the cache or the negative
-// memo when classifyLocked can, else by running the mapper against a
+// resolve answers the request on one chip: from the cache when
+// classifyLocked can, else by running the mapper against a
 // snapshot of the free set — one computation per cache key, which
 // concurrent resolutions wait on (flights). With claim set, a successful
 // resolution's nodes leave the free set in the hold that found them free;
@@ -902,11 +735,7 @@ func (e *Engine) resolve(chip int, req Request, sig string, claim bool) (core.Ma
 			e.mu.Unlock()
 			return res, nil
 		case chipError:
-			if ent != nil {
-				e.stats.CacheHits++
-			} else {
-				e.stats.NegHits++
-			}
+			e.stats.CacheHits++
 			e.mu.Unlock()
 			return core.MapResult{}, err
 		}
@@ -923,7 +752,6 @@ func (e *Engine) resolve(chip int, req Request, sig string, claim bool) (core.Ma
 			e.flights[key] = f
 		}
 		free := cs.freeListLocked()
-		snapCount, snapGen := cs.freeCount, cs.relGen
 		e.mu.Unlock()
 
 		start := e.clk.Now()
@@ -933,7 +761,6 @@ func (e *Engine) resolve(chip int, req Request, sig string, claim bool) (core.Ma
 		e.stats.CacheMisses++
 		e.stats.MapTime += e.clk.Since(start)
 		if f != nil {
-			e.negPutLocked(cs, req.negKey(sig), snapCount, snapGen, err)
 			e.stats.CacheEvictions += e.cache.add(key, &cacheEntry{
 				nodes:      append([]topo.NodeID(nil), res.Nodes...),
 				cost:       res.Cost,
@@ -997,10 +824,5 @@ func (e *Engine) Release(chip int, nodes []topo.NodeID) error {
 		cs.freeCount++
 		cs.freeSig ^= nodeHash(n)
 	}
-	// Freed capacity may cure any memoized mapping failure on this chip —
-	// drop them all, and fence racing negative write-backs (negPutLocked)
-	// whose free-set snapshot predates this release.
-	cs.neg = nil
-	cs.relGen++
 	return nil
 }

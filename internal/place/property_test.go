@@ -25,11 +25,7 @@ func TestEngineCachedEqualsColdProperty(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		// Negative memoization is disabled: it deliberately relaxes exact
-		// error-text equivalence (a memoized failure's message reflects the
-		// free count it was computed against). Class equivalence under the
-		// memo is covered by TestEngineNegativeTTL*.
-		cached, err := place.New([]place.Chip{simChip(), fpgaChip()}, place.WithNegativeTTL(0))
+		cached, err := place.New([]place.Chip{simChip(), fpgaChip()})
 		if err != nil {
 			t.Log(err)
 			return false

@@ -129,11 +129,12 @@ func WithAgingRounds(rounds int) ClusterOption {
 	return func(c *clusterConfig) { c.agingRounds = rounds }
 }
 
-// WithMapperWorkers sizes the placement engine's async mapper worker
-// pool (default place.DefaultWorkers; n <= 0 selects the default).
-// Mapping misses — hits-first parked jobs and blocking placements alike
-// — compute on these workers, so at most n topology mappings run
-// concurrently on behalf of the serving paths.
+// WithMapperWorkers sizes the placement engine's mapper worker pool: n
+// resident goroutines from cluster construction to Close (default
+// place.DefaultWorkers; n <= 0 selects the default). Mapping misses —
+// hits-first parked jobs and blocking placements alike — compute on
+// these workers, so at most n topology mappings run concurrently on
+// behalf of the serving paths.
 // Size it to the cores you can spare beside the simulator: more workers
 // drain mapping backlogs faster under shape churn, fewer keep the mapper
 // from competing with job execution on small hosts.
@@ -143,8 +144,8 @@ func WithMapperWorkers(n int) ClusterOption {
 
 // WithClock injects the clock every serving-path timestamp and timer
 // reads: the dispatcher's deadline checks and queue-wait accounting, the
-// session pool's TTL janitor, the placement engine's latency stats and
-// negative-result TTL. Default is the wall clock. Inject a VirtualClock
+// session pool's TTL janitor, the placement engine's latency stats.
+// Default is the wall clock. Inject a VirtualClock
 // to drive a cluster in simulated time — deadlines, TTL expiry and
 // latency percentiles then move only when the clock is advanced.
 func WithClock(clk Clock) ClusterOption {

@@ -256,9 +256,6 @@ func (c *Cluster) collect(emit func(obs.Sample)) {
 	counter("vnpu_placement_decision_seconds_total", "Cumulative time spent in placement decisions.", ps.PlaceTime.Seconds())
 	counter("vnpu_placement_map_seconds_total", "Cumulative time spent inside the topology mapper.", ps.MapTime.Seconds())
 	counter("vnpu_placement_async_maps_total", "Mapping computations scheduled on the async mapper workers.", float64(ps.AsyncMaps))
-	counter("vnpu_placement_negative_hits_total", "Mapping failures served from the negative-result memo.", float64(ps.NegHits))
-	counter("vnpu_placement_map_workers", "Mapper worker-pool size (adaptive between 1 and the configured bound).", float64(ps.MapWorkers))
-	counter("vnpu_placement_map_grow_vetoed_total", "Mapper-pool growth declined because chip execution slots were saturated.", float64(ps.MapGrowVetoed))
 
 	ts := snap.Timing
 	backend := obs.Label{Key: "backend", Value: ts.Backend}

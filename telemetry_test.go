@@ -177,8 +177,6 @@ func TestMetricNamesStable(t *testing.T) {
 		"vnpu_placement_cache_evictions_total", "vnpu_placement_cache_hits_total",
 		"vnpu_placement_cache_misses_total", "vnpu_placement_decision_seconds_total",
 		"vnpu_placement_decisions_total", "vnpu_placement_map_seconds_total",
-		"vnpu_placement_map_grow_vetoed_total", "vnpu_placement_map_workers",
-		"vnpu_placement_negative_hits_total",
 		"vnpu_session_batched_total", "vnpu_session_busy",
 		"vnpu_session_cold_creates_total", "vnpu_session_evictions_total",
 		"vnpu_session_idle", "vnpu_session_idle_cores",
