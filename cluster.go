@@ -121,8 +121,9 @@ type Cluster struct {
 	// fingerprint, core count, weight zone): admission sizing compiles a
 	// workload once and keeps the sized program, and every later
 	// execution at the same shape — cold session creates and one-shot
-	// dispatcher jobs alike — reuses it, rebased to its vNPU's memory
-	// base, instead of recompiling (see compileFor).
+	// dispatcher jobs alike — reuses it as it stands, since every vNPU
+	// shares one guest memory base, instead of recompiling (see
+	// compileFor).
 	progMu sync.Mutex
 	progs  map[progKey]*progEntry
 
@@ -439,13 +440,11 @@ type progKey struct {
 }
 
 // progEntry is one cached compiled program with its resource layout. The
-// program addresses a guest region starting at vaBase; compileFor
-// rebases it to the target vNPU's memory base on reuse, so one
-// compilation serves every create at the same shape (ROADMAP
-// "compile-once execution").
+// program addresses guest memory from the base every vNPU shares, so one
+// compilation serves every create at the same shape as it stands
+// (ROADMAP "compile-once execution").
 type progEntry struct {
 	prog        *isa.Program
-	vaBase      uint64
 	memBytes    uint64
 	weightBytes int64
 	streaming   bool
@@ -481,24 +480,22 @@ func modelSignature(m Model) uint64 {
 // compileCached compiles the model for the given shape on one chip —
 // served from the program cache when the shape was compiled before
 // (admission sizing or an earlier create), so one compilation covers the
-// whole cluster's traffic at that shape. vaBase is the guest memory base
-// the caller wants the program addressed at; a cached program compiled at
-// a different base is rebased (a cheap instruction-stream copy), never
-// recompiled.
-func (c *Cluster) compileCached(chip int, m Model, sig uint64, cores int, vaBase uint64) (*progEntry, error) {
+// whole cluster's traffic at that shape. Every vNPU's guest memory starts
+// at the same base, so the cached program runs unchanged on any vNPU of
+// the shape: nothing is copied or rebased per job.
+func (c *Cluster) compileCached(chip int, m Model, sig uint64, cores int) (*progEntry, error) {
 	sys := c.systems[chip]
 	key := progKey{name: m.Name, modelSig: sig, cores: cores, weightZone: sys.weightZone()}
 	c.progMu.Lock()
 	ent, ok := c.progs[key]
 	c.progMu.Unlock()
 	if !ok {
-		prog, info, err := sys.compileAt(m, cores, vaBase)
+		prog, info, err := sys.compileAt(m, cores)
 		if err != nil {
 			return nil, err
 		}
 		ent = &progEntry{
 			prog:        prog,
-			vaBase:      vaBase,
 			memBytes:    info.MemBytes,
 			weightBytes: info.WeightBytes,
 			streaming:   info.Streaming,
@@ -517,36 +514,26 @@ func (c *Cluster) compileCached(chip int, m Model, sig uint64, cores int, vaBase
 		c.progs[key] = ent
 		c.progMu.Unlock()
 	}
-	if ent.vaBase == vaBase {
-		return ent, nil
-	}
-	return &progEntry{
-		prog:        ent.prog.Rebase(ent.vaBase, vaBase),
-		vaBase:      vaBase,
-		memBytes:    ent.memBytes,
-		weightBytes: ent.weightBytes,
-		streaming:   ent.streaming,
-	}, nil
+	return ent, nil
 }
 
 // compileFor is the serving-path replacement for System.CompileFor: it
 // resolves the job's program through the cluster's compile-once cache
-// and validates it against the target vNPU, so cold session creates and
-// repeat one-shot jobs skip the compiler entirely.
+// and checks that the target vNPU's memory holds its footprint, so cold
+// session creates and repeat one-shot jobs skip the compiler entirely and
+// share the cached program itself.
 func (c *Cluster) compileFor(chip int, v *VirtualNPU, m Model, sig uint64) (*CompiledModel, error) {
-	ent, err := c.compileCached(chip, m, sig, v.NumCores(), v.MemBase())
+	ent, err := c.compileCached(chip, m, sig, v.NumCores())
 	if err != nil {
 		return nil, err
 	}
-	if ent.memBytes > v.MemBytes() {
-		return nil, fmt.Errorf("vnpu: model %q needs %d bytes, vNPU has %d (set Request.MemoryBytes, e.g. from System.ModelMemoryBytes): %w",
-			m.Name, ent.memBytes, v.MemBytes(), ErrMemoryExceeded)
+	if err := checkFootprint(m.Name, ent.memBytes, v); err != nil {
+		return nil, err
 	}
 	return &CompiledModel{
 		prog:        ent.prog,
 		model:       m.Name,
 		cores:       v.NumCores(),
-		vaBase:      v.MemBase(),
 		memBytes:    ent.memBytes,
 		weightBytes: ent.weightBytes,
 		streaming:   ent.streaming,
@@ -563,7 +550,7 @@ func (c *Cluster) compileFor(chip int, v *VirtualNPU, m Model, sig uint64) (*Com
 // scratchpad differences only flip the compiler's streaming decision —
 // so chip 0 can size it.
 func (c *Cluster) modelMemoryBytes(m Model, sig uint64, cores int) (uint64, error) {
-	ent, err := c.compileCached(0, m, sig, cores, 0)
+	ent, err := c.compileCached(0, m, sig, cores)
 	if err != nil {
 		return 0, err
 	}
@@ -1016,8 +1003,8 @@ func (e *clusterExec) Place(chip int, job Job) (*VirtualNPU, error) {
 }
 
 // Execute runs the job on its placed vNPU. Admission sizing already
-// compiled the shape, so repeat one-shot traffic runs a cached program
-// rebased to its vNPU instead of recompiling per job.
+// compiled the shape, so repeat one-shot traffic runs the cached program
+// instead of recompiling per job.
 func (e *clusterExec) Execute(ctx context.Context, chip int, v *VirtualNPU, job Job) (JobReport, time.Duration, error) {
 	var prog *CompiledModel
 	return (*Cluster)(e).execute(ctx, chip, v, &prog, &job)

@@ -104,7 +104,14 @@ func TestClusterQueueFullRejection(t *testing.T) {
 	}
 	<-h1.Started()
 	// The chip is fully occupied: the next job parks in the dispatcher,
-	// one more fits the queue, anything beyond must be rejected.
+	// one more fits the queue, anything beyond must be rejected. A job
+	// whose placement is not cached yet leaves the queue to wait on the
+	// mapper, and until the mapper answers the dispatcher may pop the
+	// next one too; so the full chip's answer is settled in the cache
+	// first, and every later job parks on capacity.
+	if _, err := cluster.engine.Place(placeRequest(fullChipJob(t, "a").request())); !errors.Is(err, ErrNoCapacity) {
+		t.Fatalf("placing a second full-chip job: err = %v, want ErrNoCapacity", err)
+	}
 	var admitted []*Handle
 	var rejected int
 	for i := 0; i < 3; i++ {

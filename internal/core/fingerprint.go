@@ -20,10 +20,11 @@ import (
 // iteration counts produce byte-identical npu.Results, because domain
 // execution is deterministic and starts from freshly reset private
 // calendars (PR 9's cycle-identity property). That is the contract the
-// memoizing timing backend keys on — note the vNPU's identity (VMID) is
-// not folded directly, though when global memory is allocated the guest
-// VA base (VMID-derived) is, so in practice entries are shared by reuse
-// of one resident vNPU rather than across create/destroy churn.
+// memoizing timing backend keys on. The vNPU's identity (VMID) is not
+// folded, and every vNPU shares one guest VA base, so a fresh vNPU shares
+// entries with an earlier one only when it holds the same cores, channels
+// and physical blocks; in practice entries are shared by reuse of one
+// resident vNPU.
 //
 // The geometry is immutable after creation (nodes, blocks, ports and
 // translators are fixed by the hypervisor), so the hash is cached.

@@ -53,8 +53,12 @@ type Request struct {
 // minMemBlock is the smallest buddy block (and RTT range granularity).
 const minMemBlock = 64 << 10
 
-// guestVABase spaces each vNPU's virtual address space.
-const guestVABase = 1 << 32
+// GuestVABase is where every vNPU's guest memory starts. Guest address
+// spaces need not be disjoint: each vNPU translates through its own RTT
+// (vChunk, §4.2), which maps only that vNPU's blocks, so one guest address
+// means a different physical range on each vNPU. A shared base lets one
+// compiled program serve every vNPU of its shape without a copy.
+const GuestVABase = 1 << 32
 
 // Hypervisor owns the physical NPU's virtualization state: free cores,
 // meta tables, and the buddy allocator over HBM (§5.2). It is the only
@@ -265,7 +269,7 @@ func (h *Hypervisor) createMappedLocked(req Request, mapRes MapResult) (*VNPU, e
 	}
 	// rollback undoes every allocation made so far: memory blocks plus any
 	// cores already configured, restoring them to bare-metal state.
-	var configured []topo.NodeID
+	configured := make([]topo.NodeID, 0, k)
 	rollback := func() {
 		for _, b := range blocks {
 			_ = h.buddy.Free(b.pa)
@@ -306,7 +310,6 @@ func (h *Hypervisor) createMappedLocked(req Request, mapRes MapResult) (*VNPU, e
 		id:          vm,
 		dev:         h.dev,
 		rt:          rt,
-		vtopo:       req.Topology.Clone(),
 		nodes:       mapRes.Nodes,
 		allowed:     make(map[topo.NodeID]bool, k),
 		confined:    req.Confined,
@@ -324,6 +327,13 @@ func (h *Hypervisor) createMappedLocked(req Request, mapRes MapResult) (*VNPU, e
 	}
 
 	// Per-core configuration: ownership, ports, translators, RTT copies.
+	// The RTT rows are the same for every core; each core still gets its
+	// own table from NewRTT, whose cursor and last_v hints are per-core
+	// lookup state.
+	rttEntries := make([]mem.RTTEntry, len(blocks))
+	for i, b := range blocks {
+		rttEntries[i] = mem.RTTEntry{VA: b.va, PA: b.pa, Size: b.size, Perm: mem.PermRW, LastV: -1}
+	}
 	var pageTable *mem.PageTable
 	if req.Translation == TranslationPage && len(blocks) > 0 {
 		pageTable = mem.NewPageTable()
@@ -385,10 +395,6 @@ func (h *Hypervisor) createMappedLocked(req Request, mapRes MapResult) (*VNPU, e
 			}
 			coreObj.SetTranslator(mem.NewPageTranslator(pageTable, entries))
 		default:
-			rttEntries := make([]mem.RTTEntry, len(blocks))
-			for i, b := range blocks {
-				rttEntries[i] = mem.RTTEntry{VA: b.va, PA: b.pa, Size: b.size, Perm: mem.PermRW, LastV: -1}
-			}
 			rtt, err := mem.NewRTT(rttEntries)
 			if err != nil {
 				rollback()
@@ -467,9 +473,9 @@ func (h *Hypervisor) releaseCore(node topo.NodeID) error {
 }
 
 // allocMemory carves size bytes into power-of-two buddy blocks and assigns
-// them consecutive guest virtual addresses. Each block becomes one RTT
-// entry — the whole point of range translation (§5.2: "maps an entire
-// block directly into the RTT entry").
+// them consecutive guest virtual addresses from GuestVABase. Each block
+// becomes one RTT entry — the whole point of range translation (§5.2:
+// "maps an entire block directly into the RTT entry").
 func (h *Hypervisor) allocMemory(vm VMID, size uint64) ([]memBlock, error) {
 	if size == 0 {
 		return nil, nil
@@ -485,7 +491,7 @@ func (h *Hypervisor) allocMemory(vm VMID, size uint64) ([]memBlock, error) {
 	// decomposition, largest blocks first.
 	rounded := (size + minMemBlock - 1) &^ uint64(minMemBlock-1)
 	var blocks []memBlock
-	va := uint64(vm) * guestVABase
+	va := uint64(GuestVABase)
 	for rem := rounded; rem > 0; {
 		block := uint64(1) << (63 - bits.LeadingZeros64(rem))
 		if block < minMemBlock {

@@ -51,6 +51,10 @@ func exactRectangle(phys *topo.Graph, free []topo.NodeID, req *topo.Graph, opt g
 	slices.Sort(anchors)
 
 	orients := [2]bool{false, true} // transposed?
+	// One buffer serves every anchor: a geometric match writes all k
+	// cells, and the first verified match returns it, so nothing of an
+	// earlier, failed anchor can leak into a result.
+	nodes := make([]topo.NodeID, k) // vCore order
 	for _, anchor := range anchors {
 		ac, _ := phys.CoordOf(anchor)
 		for _, transposed := range orients {
@@ -61,7 +65,6 @@ func exactRectangle(phys *topo.Graph, free []topo.NodeID, req *topo.Graph, opt g
 				}
 				rw, rh = h, w
 			}
-			nodes := make([]topo.NodeID, k) // vCore order
 			match := true
 			for dy := 0; dy < rh && match; dy++ {
 				for dx := 0; dx < rw; dx++ {

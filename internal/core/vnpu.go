@@ -54,7 +54,6 @@ type VNPU struct {
 	id          VMID
 	dev         *npu.Device
 	rt          *RoutingTable
-	vtopo       *topo.Graph
 	nodes       []topo.NodeID
 	allowed     map[topo.NodeID]bool
 	confined    bool
@@ -109,9 +108,6 @@ func (v *VNPU) Nodes() []topo.NodeID { return v.nodes }
 // NumCores reports the virtual core count.
 func (v *VNPU) NumCores() int { return len(v.nodes) }
 
-// VirtualTopology returns the requested topology (virtual core IDs).
-func (v *VNPU) VirtualTopology() *topo.Graph { return v.vtopo }
-
 // RoutingTable returns the instruction-router table.
 func (v *VNPU) RoutingTable() *RoutingTable { return v.rt }
 
@@ -128,7 +124,9 @@ func (v *VNPU) SetupCycles() sim.Cycles { return v.setup }
 // Translation reports the memory-virtualization mode.
 func (v *VNPU) Translation() TranslationMode { return v.translation }
 
-// MemBase returns the guest-visible base address of the vNPU's memory.
+// MemBase returns the guest-visible base address of the vNPU's memory:
+// GuestVABase on every vNPU with memory, whose own translation gives it
+// meaning, and 0 on one without.
 func (v *VNPU) MemBase() uint64 { return v.memBase }
 
 // MemBytes returns the allocated memory size.

@@ -163,10 +163,10 @@ func (p *Program) Validate() error {
 // Rebase returns a copy of the program with every DMA virtual address
 // translated from a guest memory region starting at from to one starting
 // at to. Compiled programs address a contiguous [base, base+size) region,
-// so a program compiled once can be relocated to any vNPU's memory base
-// without re-running the compiler — the compile-once lever behind the
-// cluster's program cache. Non-DMA instructions carry no addresses and
-// are copied verbatim.
+// so a program compiled once can be relocated to another base without
+// re-running the compiler. The serving path does not need it: every
+// vNPU's guest memory starts at one shared base. Non-DMA instructions
+// carry no addresses and are copied verbatim.
 func (p *Program) Rebase(from, to uint64) *Program {
 	if from == to {
 		return p

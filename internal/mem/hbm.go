@@ -20,6 +20,11 @@ type HBM struct {
 	channels      []sim.Calendar
 	bytesPerCycle int
 	latency       sim.Cycles
+	// all and allCals are the channel list and calendars of an
+	// all-channel port. Ports only read them (UseBank installs a fresh
+	// calendar slice), so every all-channel port shares these two.
+	all     []int
+	allCals []*sim.Calendar
 }
 
 // NewHBM builds a memory with the given channel count, per-channel
@@ -35,11 +40,18 @@ func NewHBM(channels, bytesPerCycle int, latency sim.Cycles) *HBM {
 	if latency < 0 {
 		latency = 0
 	}
-	return &HBM{
+	h := &HBM{
 		channels:      make([]sim.Calendar, channels),
 		bytesPerCycle: bytesPerCycle,
 		latency:       latency,
+		all:           make([]int, channels),
+		allCals:       make([]*sim.Calendar, channels),
 	}
+	for i := range h.all {
+		h.all[i] = i
+		h.allCals[i] = &h.channels[i]
+	}
+	return h
 }
 
 // NumChannels reports the number of memory interfaces.
@@ -58,12 +70,11 @@ func (h *HBM) burstCycles(size int) sim.Cycles {
 
 // Port returns a port restricted to the given channel indices. An empty
 // list grants access to every channel. Out-of-range indices are an error.
+// Each call returns a port of its own, so BytesMoved counts only its own
+// traffic.
 func (h *HBM) Port(channels ...int) (*Port, error) {
 	if len(channels) == 0 {
-		channels = make([]int, len(h.channels))
-		for i := range channels {
-			channels[i] = i
-		}
+		return &Port{hbm: h, channels: h.all, cals: h.allCals}, nil
 	}
 	for _, c := range channels {
 		if c < 0 || c >= len(h.channels) {

@@ -1,8 +1,9 @@
 package mem
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/vnpu-sim/vnpu/internal/sim"
 )
@@ -53,7 +54,7 @@ type RTT struct {
 func NewRTT(entries []RTTEntry) (*RTT, error) {
 	es := make([]RTTEntry, len(entries))
 	copy(es, entries)
-	sort.Slice(es, func(i, j int) bool { return es[i].VA < es[j].VA })
+	slices.SortFunc(es, func(a, b RTTEntry) int { return cmp.Compare(a.VA, b.VA) })
 	for i := range es {
 		if es[i].Size == 0 {
 			return nil, fmt.Errorf("mem: empty RTT range %s", fmtRange(es[i].VA, 0))

@@ -100,16 +100,15 @@ func (s *System) RunModelContext(ctx context.Context, v *VirtualNPU, m Model, it
 	return s.RunCompiled(ctx, v, cm, iters)
 }
 
-// CompiledModel is a model compiled for one specific virtual NPU: its
-// instruction streams address the vNPU's core count and guest memory
-// base. A resident session reuses it across jobs (compile-once), which
-// is only sound on the vNPU it was compiled for — RunCompiled enforces
-// that.
+// CompiledModel is a model compiled for a virtual NPU shape: its
+// instruction streams address that core count and a guest memory
+// footprint starting at the guest base every vNPU shares. A resident
+// session reuses it across jobs (compile-once); RunCompiled accepts it on
+// any vNPU with the same core count whose memory holds the footprint.
 type CompiledModel struct {
 	prog        *isa.Program
 	model       string
 	cores       int
-	vaBase      uint64
 	memBytes    uint64
 	weightBytes int64
 	streaming   bool
@@ -128,23 +127,17 @@ func (cm *CompiledModel) Streaming() bool { return cm.streaming }
 // RunCompiled — the serving layer's resident sessions compile once per
 // (session, model) and skip this cost on every warm job.
 func (s *System) CompileFor(v *VirtualNPU, m Model) (*CompiledModel, error) {
-	prog, info, err := workload.Compile(m, workload.CompileOptions{
-		Cores:           v.NumCores(),
-		VABase:          v.MemBase(),
-		WeightZoneBytes: s.weightZone(),
-	})
+	prog, info, err := s.compileAt(m, v.NumCores())
 	if err != nil {
 		return nil, err
 	}
-	if uint64(info.MemBytes) > v.MemBytes() {
-		return nil, fmt.Errorf("vnpu: model %q needs %d bytes, vNPU has %d (set Request.MemoryBytes, e.g. from System.ModelMemoryBytes): %w",
-			m.Name, info.MemBytes, v.MemBytes(), ErrMemoryExceeded)
+	if err := checkFootprint(m.Name, info.MemBytes, v); err != nil {
+		return nil, err
 	}
 	return &CompiledModel{
 		prog:        prog,
 		model:       m.Name,
 		cores:       v.NumCores(),
-		vaBase:      v.MemBase(),
 		memBytes:    info.MemBytes,
 		weightBytes: m.WeightBytes(),
 		streaming:   info.Streaming,
@@ -167,9 +160,12 @@ func (s *System) TimingBackendName() string {
 	return s.timing.Name()
 }
 
-// RunCompiled executes a precompiled model on the virtual NPU it was
-// compiled for; a mismatched vNPU (different core count or memory base)
-// is rejected rather than silently mis-addressed.
+// RunCompiled executes a precompiled model on a virtual NPU of the shape
+// it was compiled for. A vNPU with a different core count is rejected,
+// and one whose memory cannot hold the model's footprint fails with
+// ErrMemoryExceeded. The memory base needs no check: every vNPU's guest
+// memory starts at the same base, and each translates it only into its
+// own blocks.
 //
 // The run's timing outcome flows through the system's timing backend
 // (SetTimingBackend): the default analytic backend always walks the
@@ -178,9 +174,12 @@ func (s *System) TimingBackendName() string {
 // domain (freshly reset by the caller via ResetForRun), where the
 // outcome is a pure function of (program, geometry, iterations).
 func (s *System) RunCompiled(ctx context.Context, v *VirtualNPU, cm *CompiledModel, iters int) (Report, error) {
-	if cm.cores != v.NumCores() || cm.vaBase != v.MemBase() {
-		return Report{}, fmt.Errorf("vnpu: model %q was compiled for %d cores at VA 0x%x, vNPU has %d cores at 0x%x",
-			cm.model, cm.cores, cm.vaBase, v.NumCores(), v.MemBase())
+	if cm.cores != v.NumCores() {
+		return Report{}, fmt.Errorf("vnpu: model %q was compiled for %d cores, vNPU has %d",
+			cm.model, cm.cores, v.NumCores())
+	}
+	if err := checkFootprint(cm.model, cm.memBytes, v); err != nil {
+		return Report{}, err
 	}
 	simulate := func() (npu.Result, error) {
 		return s.dev.Run(cm.prog, v.Placement(), v.Fabric(), npu.RunOptions{Iterations: iters, Ctx: ctx})
@@ -226,7 +225,7 @@ func (s *System) ResetTransients(v *VirtualNPU) {
 // ModelMemoryBytes reports the global memory a model needs on a virtual
 // NPU with the given core count — use it to size Request.MemoryBytes.
 func (s *System) ModelMemoryBytes(m Model, cores int) (uint64, error) {
-	_, info, err := s.compileAt(m, cores, 0)
+	_, info, err := s.compileAt(m, cores)
 	if err != nil {
 		return 0, err
 	}
@@ -234,15 +233,25 @@ func (s *System) ModelMemoryBytes(m Model, cores int) (uint64, error) {
 }
 
 // compileAt compiles the model for the given core count with its guest
-// memory region based at vaBase. The cluster's compile-once cache uses
-// it directly so it can keep the program a sizing pass produces instead
-// of discarding it.
-func (s *System) compileAt(m Model, cores int, vaBase uint64) (*isa.Program, workload.Info, error) {
+// memory region at the guest base every vNPU shares. The cluster's
+// compile-once cache uses it directly so it can keep the program a sizing
+// pass produces instead of discarding it.
+func (s *System) compileAt(m Model, cores int) (*isa.Program, workload.Info, error) {
 	return workload.Compile(m, workload.CompileOptions{
 		Cores:           cores,
-		VABase:          vaBase,
+		VABase:          core.GuestVABase,
 		WeightZoneBytes: s.weightZone(),
 	})
+}
+
+// checkFootprint fails with ErrMemoryExceeded when the vNPU's memory
+// cannot hold a program's memBytes footprint.
+func checkFootprint(model string, memBytes uint64, v *VirtualNPU) error {
+	if memBytes > v.MemBytes() {
+		return fmt.Errorf("vnpu: model %q needs %d bytes, vNPU has %d (set Request.MemoryBytes, e.g. from System.ModelMemoryBytes): %w",
+			model, memBytes, v.MemBytes(), ErrMemoryExceeded)
+	}
+	return nil
 }
 
 func (s *System) weightZone() int64 {
